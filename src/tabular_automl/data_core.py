@@ -357,7 +357,6 @@ class MetaFeatures:
     n_rows: int
     n_cols: int
     type_distribution: dict[str, int]
-    landmark_score: float
     target_correlations: dict[str, float]
     size_bytes: int
     density: float
@@ -370,70 +369,10 @@ def _estimate_size_bytes(t: RawTable) -> int:
     return total
 
 
-def _constant_predictor_loss(y: np.ndarray, problem: ProblemType) -> float:
-    if problem.is_classification:
-        _, counts = np.unique(y, return_counts=True)
-        return 1.0 - counts.max() / len(y)
-    return float(np.sqrt(np.mean((y - y.mean()) ** 2)))
-
-
-def _landmark_score(t: RawTable, types: Sequence["ColumnType"], seed: int) -> float:
-    """Validation loss of a depth-3 single-tree baseline on a seeded subsample."""
-    from . import learners
-    from .schema import ColumnType
-    from .transforms import encode_labels
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
-    n_sub = min(t.n_rows, 1000)
-    sub_idx = sorted(rng.choice(t.n_rows, size=n_sub, replace=False).tolist())
-    sub = t.subset(sub_idx)
-
-    target = sub.column(sub.target_index)
-    problem = infer_problem_type(profile_column(target), target)
-    y, _ = encode_labels(target, problem)
-
-    numeric_cols = [
-        idx
-        for idx, ctype in zip(t.feature_indices(), types)
-        if ctype == ColumnType.NUMERIC
-    ]
-    n_eval = max(1, n_sub // 4)
-    order = rng.permutation(n_sub)
-    fit_rows, eval_rows = order[n_eval:], order[:n_eval]
-
-    if not numeric_cols:
-        return _constant_predictor_loss(y[eval_rows], problem)
-
-    X = np.zeros((n_sub, len(numeric_cols)))
-    for j, idx in enumerate(numeric_cols):
-        col = [parse_number(v) for v in sub.column(idx)]
-        finite = [x for x in col if x is not None]
-        fill = float(np.mean(finite)) if finite else 0.0
-        X[:, j] = [x if x is not None else fill for x in col]
-
-    hp = {
-        "n_trees": 1,
-        "max_depth": 3,
-        "learning_rate": 1.0,
-        "min_child_rows": 1,
-        "subsample": 1.0,
-    }
-    try:
-        model = learners.train("gbt", X[fit_rows], y[fit_rows], hp, seed=seed)
-        preds = learners.predict(model, X[eval_rows])
-    except Exception:
-        return _constant_predictor_loss(y[eval_rows], problem)
-    return learners.evaluate(preds, y[eval_rows], problem).value
-
-
 def compute_meta_features(
-    t: RawTable, profiles: Sequence[ColumnProfile], types: Sequence["ColumnType"], seed: int
+    t: RawTable, profiles: Sequence[ColumnProfile], types: Sequence["ColumnType"]
 ) -> MetaFeatures:
-    """Dataset-level statistics. `profiles`/`types` align with t's feature columns.
-
-    Deterministic given seed; the landmark score comes from a fixed shallow
-    tree trained on a seeded subsample of at most 1000 rows.
-    """
+    """Dataset-level statistics. `profiles`/`types` align with t's feature columns."""
     feature_idx = t.feature_indices()
     if len(profiles) != len(feature_idx) or len(types) != len(feature_idx):
         raise ValueError("profiles/types must align with the table's feature columns")
@@ -470,7 +409,6 @@ def compute_meta_features(
         n_rows=t.n_rows,
         n_cols=t.n_cols,
         type_distribution=type_distribution,
-        landmark_score=_landmark_score(t, types, seed),
         target_correlations=correlations,
         size_bytes=t.size_bytes if t.size_bytes is not None else _estimate_size_bytes(t),
         density=density,

@@ -7,13 +7,13 @@ from a per-tree RNG stream so tree construction order never matters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..data_core import ProblemType
 from ..errors import ArityMismatch, NonFiniteInput, SingleClass
+from .linear import _sigmoid
 
 LAMBDA = 1.0  # leaf L2 regularization
 MIN_GAIN = 1e-12
@@ -125,10 +125,6 @@ def _apply_tree(node: dict, X: np.ndarray) -> np.ndarray:
         stack.append((nd["left"], idx[go_left]))
         stack.append((nd["right"], idx[~go_left]))
     return out
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 def _subsample_rows(n: int, fraction: float, seed: int, tree_index: int) -> np.ndarray:

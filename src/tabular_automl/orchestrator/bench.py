@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +21,7 @@ from ..learners.metrics import Loss
 from ..strategy import Strategy, apply_preprocessor, execute_preprocessing, preprocessor_from_dict, realize
 from ..strategy.builtin import GBT_SEEDS
 from . import artifacts
-from .job import FULL, JobConfig, _validated_problem, analyze_table, run_fit
+from .job import JobConfig, _validated_problem, analyze_table, run_fit
 
 TEST_FRACTION = 0.1
 BASELINE_HP = dict(GBT_SEEDS[0])  # subsample 1.0: seed-independent
@@ -46,18 +46,6 @@ class BenchResult:
     relative_error_difference: Optional[float] = None
     best_pipeline: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "status": self.status,
-            "message": self.message,
-            "loss_kind": self.loss_kind,
-            "engine_loss": self.engine_loss,
-            "baseline_loss": self.baseline_loss,
-            "relative_error_difference": self.relative_error_difference,
-            "best_pipeline": self.best_pipeline,
-        }
-
 
 @dataclass
 class BenchSummary:
@@ -67,16 +55,6 @@ class BenchSummary:
     mean_relative_error_difference: Optional[float] = None
     stderr_relative_error_difference: Optional[float] = None
     best_pipeline_counts: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "results": [r.to_dict() for r in self.results],
-            "success_rate": self.success_rate,
-            "baseline_match_rate": self.baseline_match_rate,
-            "mean_relative_error_difference": self.mean_relative_error_difference,
-            "stderr_relative_error_difference": self.stderr_relative_error_difference,
-            "best_pipeline_counts": self.best_pipeline_counts,
-        }
 
 
 def relative_error_difference(engine_loss: float, baseline_loss: float) -> float:
@@ -133,34 +111,31 @@ def baseline_loss(rest: RawTable, test: RawTable, seed: int, valid_fraction: flo
     return learners.evaluate(learners.predict(model, prep.X_valid), prep.y_valid, analysis.problem)
 
 
-def _run_one(ds: BenchDataset, jobs_dir: Path, cfg_args: dict) -> BenchResult:
+def _run_one(ds: BenchDataset, jobs_dir: Path, job_args: dict) -> BenchResult:
+    job_dir = jobs_dir / ds.dataset_id
+    cfg = JobConfig(
+        input_path=str(job_dir / "input.csv"),
+        target=ds.target,
+        output_dir=str(job_dir),
+        problem_override=ds.problem_override,
+        **job_args,
+    )
     result = BenchResult(dataset_id=ds.dataset_id, status="failed")
     try:
         table = load_csv(ds.path, ds.target)
         table, _ = drop_missing_target(table)
         problem = _validated_problem(table, ds.problem_override)
-        rest, test = stratified_split(table, TEST_FRACTION, problem, cfg_args["seed"])
+        rest, test = stratified_split(table, TEST_FRACTION, problem, cfg.seed)
 
-        job_dir = jobs_dir / ds.dataset_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        rest_csv = job_dir / "input.csv"
-        artifacts.write_fold_csv(rest, rest_csv)
-
-        cfg = JobConfig(
-            input_path=str(rest_csv),
-            target=ds.target,
-            output_dir=str(job_dir),
-            problem_override=ds.problem_override,
-            mode=FULL,
-            **cfg_args,
-        )
+        artifacts.write_fold_csv(rest, cfg.input_path)
         report = run_fit(cfg)
         if report.status != "completed":
             result.message = report.message or f"job status {report.status}"
             return result
 
         engine = score_stored_model(job_dir, report.best, test, problem)
-        base = baseline_loss(rest, test, cfg_args["seed"], cfg_args["valid_fraction"])
+        base = baseline_loss(rest, test, cfg.seed, cfg.valid_fraction)
         result.status = "completed"
         result.loss_kind = engine.kind
         result.engine_loss = engine.value
@@ -172,35 +147,18 @@ def _run_one(ds: BenchDataset, jobs_dir: Path, cfg_args: dict) -> BenchResult:
     return result
 
 
-def run_bench(
-    datasets: list[BenchDataset],
-    output_dir,
-    budget: int = 250,
-    epsilon: float = 0.1,
-    parallelism: int = 10,
-    seed: int = 0,
-    max_runtime: Optional[float] = None,
-    valid_fraction: float = 0.2,
-    portfolio_path: Optional[str] = None,
-) -> BenchSummary:
+def run_bench(datasets: list[BenchDataset], output_dir, **job_args) -> BenchSummary:
+    """Fit and score every dataset. `job_args` are JobConfig fields such as
+    `budget` or `seed`; the ones not given keep JobConfig's defaults."""
     if not datasets:
         raise ValidationError("benchmark needs at least one dataset")
     out = Path(output_dir)
     jobs_dir = out / "jobs"
     jobs_dir.mkdir(parents=True, exist_ok=True)
-    cfg_args = {
-        "budget": budget,
-        "epsilon": epsilon,
-        "parallelism": parallelism,
-        "seed": seed,
-        "max_runtime": max_runtime,
-        "valid_fraction": valid_fraction,
-        "portfolio_path": portfolio_path,
-    }
 
     summary = BenchSummary()
     for ds in datasets:
-        summary.results.append(_run_one(ds, jobs_dir, cfg_args))
+        summary.results.append(_run_one(ds, jobs_dir, job_args))
 
     done = [r for r in summary.results if r.status == "completed"]
     summary.success_rate = len(done) / len(summary.results)
@@ -219,5 +177,5 @@ def run_bench(
         summary.best_pipeline_counts = dict(
             sorted(Counter(r.best_pipeline for r in done).items())
         )
-    artifacts.dump_json(summary.to_dict(), out / "bench_report.json")
+    artifacts.dump_json(asdict(summary), out / "bench_report.json")
     return summary

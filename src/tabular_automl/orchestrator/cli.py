@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -62,48 +63,30 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+# Config-file keys and flags that name a JobConfig field differently.
+_PUBLIC_NAMES = {"input_path": "input", "problem_override": "problem_type"}
+
+
 def _merged_job_config(args) -> job.JobConfig:
-    """Defaults < --config file < explicit flags."""
-    merged = {
-        "input": None,
-        "target": None,
-        "output_dir": None,
-        "problem_type": None,
-        "budget": 250,
-        "epsilon": 0.1,
-        "parallelism": 10,
-        "seed": 0,
-        "max_runtime": None,
-        "valid_fraction": DEFAULT_VALID_FRACTION,
-        "portfolio_path": None,
+    """JobConfig defaults < --config file < explicit flags."""
+    fields = {
+        _PUBLIC_NAMES.get(f.name, f.name): f.name for f in dataclasses.fields(job.JobConfig)
     }
+    merged = {}
     if args.config:
         file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - set(merged)
+        unknown = set(file_cfg) - set(fields)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in ("input", "target", "output_dir", "problem_type", "budget",
-                "epsilon", "parallelism", "seed", "max_runtime"):
-        value = getattr(args, key)
+    for key in fields:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     for key in ("input", "target", "output_dir"):
-        if merged[key] is None:
+        if merged.get(key) is None:
             raise _UsageError(f"--{key.replace('_', '-')} is required (flag or config)")
-    return job.JobConfig(
-        input_path=merged["input"],
-        target=merged["target"],
-        output_dir=merged["output_dir"],
-        problem_override=merged["problem_type"],
-        budget=merged["budget"],
-        epsilon=merged["epsilon"],
-        parallelism=merged["parallelism"],
-        seed=merged["seed"],
-        max_runtime=merged["max_runtime"],
-        valid_fraction=merged["valid_fraction"],
-        portfolio_path=merged["portfolio_path"],
-    )
+    return job.JobConfig(**{fields[key]: value for key, value in merged.items()})
 
 
 class _UsageError(Exception):
@@ -161,14 +144,14 @@ def cmd_predict(args) -> int:
         w = csv.writer(f)
         if meta["problem_kind"] == "regression":
             w.writerow(["prediction"])
-            for v in preds:
-                w.writerow([repr(float(v))])
+            w.writerows([repr(v)] for v in preds.tolist())
         else:
             classes = sorted(mapping, key=mapping.get)
             w.writerow(["prediction"] + [f"p_{c}" for c in classes])
-            for row in preds:
-                label = classes[int(row.argmax())]
-                w.writerow([label] + [repr(float(p)) for p in row])
+            labels = [classes[k] for k in preds.argmax(axis=1).tolist()]
+            w.writerows(
+                [label] + [repr(p) for p in row] for label, row in zip(labels, preds.tolist())
+            )
     print(f"wrote {len(preds)} predictions to {out}")
     return EXIT_OK
 
@@ -230,6 +213,18 @@ def cmd_zeroshot(args) -> int:
     return EXIT_OK
 
 
+# Bench manifest key -> (JobConfig field, cast). Absent keys keep JobConfig's defaults.
+_BENCH_KEYS = {
+    "budget": ("budget", int),
+    "epsilon": ("epsilon", float),
+    "parallelism": ("parallelism", int),
+    "seed": ("seed", int),
+    "max_runtime": ("max_runtime", lambda v: v),
+    "valid_fraction": ("valid_fraction", float),
+    "portfolio": ("portfolio_path", lambda v: v),
+}
+
+
 def cmd_bench(args) -> int:
     doc = _load_config_file(args.config)
     datasets = [
@@ -244,17 +239,10 @@ def cmd_bench(args) -> int:
     out_dir = doc.get("output_dir")
     if not out_dir:
         raise _UsageError("config needs 'output_dir'")
-    summary = run_bench(
-        datasets,
-        out_dir,
-        budget=int(doc.get("budget", 250)),
-        epsilon=float(doc.get("epsilon", 0.1)),
-        parallelism=int(doc.get("parallelism", 10)),
-        seed=int(doc.get("seed", 0)),
-        max_runtime=doc.get("max_runtime"),
-        valid_fraction=float(doc.get("valid_fraction", DEFAULT_VALID_FRACTION)),
-        portfolio_path=doc.get("portfolio"),
-    )
+    job_args = {
+        field: cast(doc[key]) for key, (field, cast) in _BENCH_KEYS.items() if key in doc
+    }
+    summary = run_bench(datasets, out_dir, **job_args)
     for r in summary.results:
         if r.status == "completed":
             print(

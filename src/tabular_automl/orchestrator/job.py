@@ -11,9 +11,9 @@ A job owns one output directory:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .. import learners, resources
 from ..data_core import (
@@ -44,13 +44,10 @@ from ..strategy import (
     recommend_strategies,
     serialize_definitions,
 )
-from ..tuner import Leaderboard, Trial, TunerArm, TunerConfig
+from ..tuner import Trial, TunerArm, TunerConfig
 from ..tuner import run as tuner_run
 from ..zeroshot import load_portfolio
 from . import artifacts
-
-GENERATE_ONLY = "generate_only"
-FULL = "full"
 
 
 @dataclass
@@ -61,12 +58,11 @@ class JobConfig:
     problem_override: Optional[str] = None
     budget: int = 250
     epsilon: float = 0.1
-    parallelism: int = 10
+    parallelism: int = 1
     seed: int = 0
     max_runtime: Optional[float] = None
     valid_fraction: float = DEFAULT_VALID_FRACTION
     portfolio_path: Optional[str] = None
-    mode: str = FULL
 
 
 @dataclass
@@ -87,25 +83,6 @@ class JobReport:
     best: Optional[dict] = None
     timings: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "message": self.message,
-            "problem_kind": self.problem_kind,
-            "n_classes": self.n_classes,
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-            "n_dropped_rows": self.n_dropped_rows,
-            "type_counts": self.type_counts,
-            "imbalance": self.imbalance,
-            "candidates": self.candidates,
-            "skipped_pipelines": self.skipped_pipelines,
-            "trials_issued": self.trials_issued,
-            "trials_finished": self.trials_finished,
-            "best": self.best,
-            "timings": self.timings,
-        }
-
 
 @dataclass
 class Analysis:
@@ -118,6 +95,17 @@ class Analysis:
     mf: MetaFeatures
     imbalance: Optional[ImbalanceInfo]
     n_dropped: int
+
+
+@dataclass
+class _Job:
+    """What the phases of one job share."""
+
+    cfg: JobConfig
+    out: Path
+    report: JobReport
+    analysis: Optional[Analysis] = None
+    defs: list[PipelineDefinition] = field(default_factory=list)
 
 
 def _validated_problem(t: RawTable, override: Optional[str]) -> ProblemType:
@@ -153,9 +141,7 @@ def analyze_table(
     names = [train.column_names[i] for i in feature_idx]
     profile_list = [profile_column(train.column(i)) for i in feature_idx]
     schema = build_schema(profile_list, names=names)
-    mf = compute_meta_features(
-        train, profile_list, [e.primary for e in schema.entries], seed
-    )
+    mf = compute_meta_features(train, profile_list, [e.primary for e in schema.entries])
     imbalance = None
     if problem.kind == "binary_classification":
         imbalance = detect_imbalance(train.column(train.target_index), problem)
@@ -244,14 +230,15 @@ def _render_markdown(report: JobReport, analysis: Optional[Analysis]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(out: Path, report: JobReport, analysis: Optional[Analysis]) -> None:
-    artifacts.dump_json(report.to_dict(), out / "report" / "report.json")
-    (out / "report" / "report.md").write_text(
-        _render_markdown(report, analysis), encoding="utf-8"
+def _write_report(job: _Job) -> None:
+    artifacts.dump_json(asdict(job.report), job.out / "report" / "report.json")
+    (job.out / "report" / "report.md").write_text(
+        _render_markdown(job.report, job.analysis), encoding="utf-8"
     )
 
 
-def _analysis_phase(cfg: JobConfig, report: JobReport, timings: dict) -> Analysis:
+def _analyze(job: _Job) -> None:
+    cfg, timings = job.cfg, job.report.timings
     started = time.monotonic()
     table = load_csv(cfg.input_path, cfg.target)
     timings["load_s"] = time.monotonic() - started
@@ -259,44 +246,25 @@ def _analysis_phase(cfg: JobConfig, report: JobReport, timings: dict) -> Analysi
     started = time.monotonic()
     analysis = analyze_table(table, cfg.seed, cfg.valid_fraction, cfg.problem_override)
     timings["analyze_s"] = time.monotonic() - started
-    _fill_analysis_report(report, analysis)
-    return analysis
+    _fill_analysis_report(job.report, analysis)
+    job.analysis = analysis
 
 
-def run_analyze(cfg: JobConfig) -> JobReport:
-    """Data analysis only: report, no candidates, no training."""
-    out = artifacts.ensure_layout(cfg.output_dir)
-    report = JobReport(status="generated_only")
-    analysis = None
-    try:
-        analysis = _analysis_phase(cfg, report, report.timings)
-    except Exception as exc:
-        report.status = "failed"
-        report.message = f"{type(exc).__name__}: {exc}"
-    _write_report(out, report, analysis)
-    return report
+def _write_folds(job: _Job) -> None:
+    artifacts.write_fold_csv(job.analysis.train, job.out / "folds" / "train.csv")
+    artifacts.write_fold_csv(job.analysis.valid, job.out / "folds" / "valid.csv")
 
 
-def run_generate(cfg: JobConfig) -> JobReport:
-    """Candidate generation: analysis + folds + definition files. No training."""
-    out = artifacts.ensure_layout(cfg.output_dir)
-    report = JobReport(status="generated_only")
-    analysis = None
-    try:
-        analysis = _analysis_phase(cfg, report, report.timings)
-        artifacts.write_fold_csv(analysis.train, out / "folds" / "train.csv")
-        artifacts.write_fold_csv(analysis.valid, out / "folds" / "valid.csv")
+def _write_candidates(job: _Job) -> None:
+    paths = serialize_definitions(job.defs, job.out / "candidates")
+    job.report.candidates = [p.name for p in paths]
 
-        started = time.monotonic()
-        defs = generate_definitions(analysis, _portfolio(cfg))
-        paths = serialize_definitions(defs, out / "candidates")
-        report.timings["generate_s"] = time.monotonic() - started
-        report.candidates = [p.name for p in paths]
-    except Exception as exc:
-        report.status = "failed"
-        report.message = f"{type(exc).__name__}: {exc}"
-    _write_report(out, report, analysis)
-    return report
+
+def _generate(job: _Job) -> None:
+    started = time.monotonic()
+    job.defs = generate_definitions(job.analysis, _portfolio(job.cfg))
+    _write_candidates(job)
+    job.report.timings["generate_s"] = time.monotonic() - started
 
 
 def _make_arm(
@@ -327,16 +295,11 @@ def _make_arm(
     return TunerArm(pipeline_id=pid, space=d.space, seeds=list(d.seeds), runner=runner)
 
 
-def _fit_phase(
-    cfg: JobConfig,
-    out: Path,
-    report: JobReport,
-    analysis: Analysis,
-    defs: list[PipelineDefinition],
-) -> Optional[Leaderboard]:
+def _fit(job: _Job) -> None:
+    cfg, out, report, analysis = job.cfg, job.out, job.report, job.analysis
     started = time.monotonic()
     arms = []
-    for d in defs:
+    for d in job.defs:
         try:
             prep = execute_preprocessing(d, analysis.train, analysis.valid)
         except Exception as exc:
@@ -388,53 +351,49 @@ def _fit_phase(
         "model": best.extra.get("model"),
         "preprocessor": best.extra.get("preprocessor"),
     }
-    return leaderboard
+    report.status = "completed"
+
+
+def _run(cfg: JobConfig, phases: list[Callable[[_Job], None]]) -> JobReport:
+    """Run the phases in order, then write the report, whatever happened.
+
+    A job that stops before the fit phase is `generated_only`; the first
+    exception ends the job as `failed` with the message `<ExcType>: <msg>`.
+    """
+    job = _Job(cfg, artifacts.ensure_layout(cfg.output_dir), JobReport(status="generated_only"))
+    try:
+        for phase in phases:
+            phase(job)
+    except Exception as exc:
+        job.report.status = "failed"
+        job.report.message = f"{type(exc).__name__}: {exc}"
+    _write_report(job)
+    return job.report
+
+
+def run_analyze(cfg: JobConfig) -> JobReport:
+    """Data analysis only: report, no candidates, no training."""
+    return _run(cfg, [_analyze])
+
+
+def run_generate(cfg: JobConfig) -> JobReport:
+    """Candidate generation: analysis + folds + definition files. No training."""
+    return _run(cfg, [_analyze, _write_folds, _generate])
 
 
 def run_fit(cfg: JobConfig) -> JobReport:
     """Full job: generation then candidate exploration."""
-    out = artifacts.ensure_layout(cfg.output_dir)
-    report = JobReport(status="completed")
-    analysis = None
-    try:
-        analysis = _analysis_phase(cfg, report, report.timings)
-        artifacts.write_fold_csv(analysis.train, out / "folds" / "train.csv")
-        artifacts.write_fold_csv(analysis.valid, out / "folds" / "valid.csv")
-
-        started = time.monotonic()
-        defs = generate_definitions(analysis, _portfolio(cfg))
-        paths = serialize_definitions(defs, out / "candidates")
-        report.timings["generate_s"] = time.monotonic() - started
-        report.candidates = [p.name for p in paths]
-
-        if cfg.mode == GENERATE_ONLY:
-            report.status = "generated_only"
-        else:
-            _fit_phase(cfg, out, report, analysis, defs)
-    except Exception as exc:
-        report.status = "failed"
-        report.message = f"{type(exc).__name__}: {exc}"
-    _write_report(out, report, analysis)
-    return report
+    return _run(cfg, [_analyze, _write_folds, _generate, _fit])
 
 
 def run_rerun(cfg: JobConfig, definitions_path) -> JobReport:
-    """Re-run edited definitions verbatim: no recommendation, no realization."""
-    out = artifacts.ensure_layout(cfg.output_dir)
-    report = JobReport(status="completed")
-    analysis = None
-    try:
-        defs = parse_definitions(definitions_path)
+    """Re-run edited definitions verbatim: no recommendation, no realization.
 
-        analysis = _analysis_phase(cfg, report, report.timings)
-        artifacts.write_fold_csv(analysis.train, out / "folds" / "train.csv")
-        artifacts.write_fold_csv(analysis.valid, out / "folds" / "valid.csv")
-        serialize_definitions(defs, out / "candidates")
-        report.candidates = [f"{d.pipeline_id}.pipeline" for d in defs]
+    The definitions are parsed before the analysis, so a bad edit fails the
+    job before any data is read.
+    """
 
-        _fit_phase(cfg, out, report, analysis, defs)
-    except Exception as exc:
-        report.status = "failed"
-        report.message = f"{type(exc).__name__}: {exc}"
-    _write_report(out, report, analysis)
-    return report
+    def parse(job: _Job) -> None:
+        job.defs = parse_definitions(definitions_path)
+
+    return _run(cfg, [parse, _analyze, _write_folds, _write_candidates, _fit])

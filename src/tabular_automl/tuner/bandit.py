@@ -33,7 +33,7 @@ QUARANTINE_AFTER = 5
 class TunerConfig:
     total_budget: int = 250
     epsilon: float = 0.1
-    parallelism: int = 10
+    parallelism: int = 1
     bo_min_finished: int = 5
     gate_suggested: int = 5
     seed: int = 0

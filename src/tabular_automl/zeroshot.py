@@ -72,7 +72,7 @@ class PortfolioSelection:
     objective: float
 
 
-def _analyze(handle: DatasetHandle, seed: int):
+def _analyze(handle: DatasetHandle):
     t = handle.train
     target_col = t.column(t.target_index)
     problem = infer_problem_type(profile_column(target_col), target_col)
@@ -80,7 +80,7 @@ def _analyze(handle: DatasetHandle, seed: int):
     profiles = [profile_column(t.column(i)) for i in feature_idx]
     names = [t.column_names[i] for i in feature_idx]
     schema = build_schema(profiles, names=names)
-    mf = compute_meta_features(t, profiles, [e.primary for e in schema.entries], seed)
+    mf = compute_meta_features(t, profiles, [e.primary for e in schema.entries])
     return problem, schema, dict(zip(names, profiles)), mf
 
 
@@ -114,7 +114,7 @@ def build_performance_table(
     analyses: dict = {}
     for j, handle in enumerate(collection):
         if evaluator is None:
-            analyses[handle.id] = _analyze(handle, seed)
+            analyses[handle.id] = _analyze(handle)
         for i, config in enumerate(configs):
             try:
                 if evaluator is not None:

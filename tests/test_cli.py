@@ -3,8 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from tabular_automl.orchestrator import JobConfig, run_fit, run_rerun
-from tabular_automl.orchestrator.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from tabular_automl.orchestrator import JobConfig, JobReport, bench, run_fit, run_rerun
+from tabular_automl.orchestrator.cli import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    _build_parser,
+    _merged_job_config,
+    main,
+)
 from tabular_automl.synth import make_multiclass_csv, make_regression_csv
 
 
@@ -81,6 +88,8 @@ class TestAnalyze:
         assert report["n_rows"] > 0
         assert (out / "report" / "report.md").exists()
         assert not list((out / "models").glob("*.json"))
+        assert not list((out / "folds").iterdir())
+        assert not list((out / "candidates").iterdir())
 
     def test_impossible_override_fails(self, tmp_path, small_regression_csv):
         code = main(
@@ -192,6 +201,45 @@ class TestConfigMerging:
         cfg.write_text(json.dumps({"buget": 10}))
         assert main(["fit", "--config", str(cfg)]) == EXIT_USAGE
         assert "buget" in capsys.readouterr().err
+
+    def test_required_flags_alone_give_job_config_defaults(self):
+        args = _build_parser().parse_args(
+            ["fit", "--input", "in.csv", "--target", "y", "--output-dir", "job"]
+        )
+        assert _merged_job_config(args) == JobConfig(
+            input_path="in.csv", target="y", output_dir="job"
+        )
+
+    def test_every_job_config_field_is_a_config_key(self, tmp_path):
+        keys = {
+            "input": "in.csv",
+            "target": "y",
+            "output_dir": "job",
+            "problem_type": "regression",
+            "budget": 7,
+            "epsilon": 0.2,
+            "parallelism": 2,
+            "seed": 4,
+            "max_runtime": 9.5,
+            "valid_fraction": 0.3,
+            "portfolio_path": "p.json",
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(keys))
+        args = _build_parser().parse_args(["fit", "--config", str(cfg)])
+        assert _merged_job_config(args) == JobConfig(
+            input_path="in.csv",
+            target="y",
+            output_dir="job",
+            problem_override="regression",
+            budget=7,
+            epsilon=0.2,
+            parallelism=2,
+            seed=4,
+            max_runtime=9.5,
+            valid_fraction=0.3,
+            portfolio_path="p.json",
+        )
 
 
 class TestPredict:
@@ -310,6 +358,16 @@ class TestRerun:
         line_no = text.splitlines().index("n_trees = int(10, 300)") + 1
         assert f":{line_no}:" in report.message
 
+    def test_missing_definitions_fail_before_analysis(self, tmp_path, small_regression_csv):
+        out = tmp_path / "rerun"
+        cfg = JobConfig(input_path=str(small_regression_csv), target="response", output_dir=str(out))
+        report = run_rerun(cfg, tmp_path / "no_such_candidates")
+        assert report.status == "failed"
+        assert report.message.startswith("FileNotFoundError: ")
+        assert report.problem_kind is None
+        assert "## Data" not in (out / "report" / "report.md").read_text()
+        assert not list((out / "folds").iterdir())
+
 
 class TestWallClock:
     def test_partial_results_still_complete(self, small_regression_csv, tmp_path):
@@ -391,3 +449,35 @@ class TestBenchCommand:
         doc = json.loads((out / "bench_report.json").read_text())
         assert doc["results"][0]["status"] == "completed"
         assert doc["results"][0]["dataset_id"] == "reg_small"
+
+    def test_manifest_without_tuning_keys_uses_job_config_defaults(
+        self, tmp_path, small_regression_csv, monkeypatch
+    ):
+        seen = []
+
+        def fake_fit(cfg):
+            seen.append(cfg)
+            return JobReport(status="failed", message="not run")
+
+        monkeypatch.setattr(bench, "run_fit", fake_fit)
+        manifest = tmp_path / "bench.json"
+        out = tmp_path / "bench"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "datasets": [
+                        {"id": "reg_small", "path": str(small_regression_csv), "target": "response"}
+                    ],
+                    "output_dir": str(out),
+                }
+            )
+        )
+        assert main(["bench", "--config", str(manifest)]) == EXIT_FAILURE
+        job_dir = out / "jobs" / "reg_small"
+        assert seen == [
+            JobConfig(
+                input_path=str(job_dir / "input.csv"),
+                target="response",
+                output_dir=str(job_dir),
+            )
+        ]

@@ -272,12 +272,12 @@ class TestDropMissingTarget:
 
 
 class TestMetaFeatures:
-    def _mf(self, t, seed=0):
+    def _mf(self, t):
         idx = t.feature_indices()
         profiles = [profile_column(t.column(i)) for i in idx]
         names = [t.column_names[i] for i in idx]
         schema = build_schema(profiles, names=names)
-        return compute_meta_features(t, profiles, [e.primary for e in schema.entries], seed)
+        return compute_meta_features(t, profiles, [e.primary for e in schema.entries])
 
     def test_shape_and_density(self):
         cells = [[f"{i}.0", f"{i * 2}.0", str(i % 3), f"{i}.5"] for i in range(10)]
@@ -290,7 +290,7 @@ class TestMetaFeatures:
         rng = np.random.default_rng(8)
         cells = [[f"{v:.3f}", f"{w:.3f}"] for v, w in rng.normal(size=(40, 2))]
         t = RawTable(["a", "y"], cells, 1)
-        assert self._mf(t, seed=4) == self._mf(t, seed=4)
+        assert self._mf(t) == self._mf(t)
 
     def test_missing_cells_lower_density(self):
         cells = [["1", "2"], [None, "3"]]

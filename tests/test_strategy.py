@@ -36,7 +36,6 @@ def make_mf(n_rows=100, n_cols=5):
         n_rows=n_rows,
         n_cols=n_cols,
         type_distribution={},
-        landmark_score=0.0,
         target_correlations={},
         size_bytes=1000,
         density=1.0,
