@@ -11,7 +11,7 @@ import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np

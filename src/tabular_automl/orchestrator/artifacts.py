@@ -78,10 +78,3 @@ def leaderboard_doc(leaderboard) -> dict:
             for e in leaderboard.entries
         ]
     }
-
-
-def render_leaderboard_text(leaderboard, limit: int = 20) -> str:
-    lines = [f"{'rank':>4}  {'loss':>12}  {'pipeline':<24} trial"]
-    for e in leaderboard.entries[:limit]:
-        lines.append(f"{e.rank:>4}  {e.loss:>12.6f}  {e.pipeline_id:<24} {e.trial_id}")
-    return "\n".join(lines)

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .. import learners
@@ -67,11 +68,22 @@ def _load_config_file(path) -> dict:
 _PUBLIC_NAMES = {"input_path": "input", "problem_override": "problem_type"}
 
 
+def _check_type(key: str, value, hint) -> None:
+    """Reject a config value that does not fit its JobConfig field's type."""
+    allowed = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise _UsageError(f"config key {key!r} must be {names}, got {value!r}")
+
+
 def _merged_job_config(args) -> job.JobConfig:
     """JobConfig defaults < --config file < explicit flags."""
     fields = {
         _PUBLIC_NAMES.get(f.name, f.name): f.name for f in dataclasses.fields(job.JobConfig)
     }
+    hints = typing.get_type_hints(job.JobConfig)
     merged = {}
     if args.config:
         file_cfg = _load_config_file(args.config)
@@ -86,6 +98,8 @@ def _merged_job_config(args) -> job.JobConfig:
     for key in ("input", "target", "output_dir"):
         if merged.get(key) is None:
             raise _UsageError(f"--{key.replace('_', '-')} is required (flag or config)")
+    for key, value in merged.items():
+        _check_type(key, value, hints[fields[key]])
     return job.JobConfig(**{fields[key]: value for key, value in merged.items()})
 
 
@@ -227,6 +241,9 @@ _BENCH_KEYS = {
 
 def cmd_bench(args) -> int:
     doc = _load_config_file(args.config)
+    unknown = set(doc) - set(_BENCH_KEYS) - {"datasets", "output_dir"}
+    if unknown:
+        raise _UsageError(f"unknown manifest keys: {sorted(unknown)}")
     datasets = [
         BenchDataset(
             dataset_id=e["id"],

@@ -59,9 +59,6 @@ class SchemaReport:
         """Names of columns whose primary type is ctype."""
         return [e.name for e in self.entries if e.primary == ctype]
 
-    def columns_with_candidate(self, ctype: ColumnType) -> list[str]:
-        return [e.name for e in self.entries if ctype in e.candidates]
-
     def entry(self, name: str) -> SchemaEntry:
         for e in self.entries:
             if e.name == name:

@@ -7,6 +7,9 @@ marginal likelihood with L-BFGS-B from 3 seeded starts. The acquisition is
 maximized over seeded random candidates plus local perturbations of the
 incumbent, never by gradient ascent, so integer and categorical domains
 need no special casing.
+
+scipy is imported inside the functions that use it, so a CLI process that
+never reaches GP-EI never pays scipy's import time and memory.
 """
 from __future__ import annotations
 
@@ -14,9 +17,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.special import ndtr
 
 from ..errors import DegenerateHistory
 from ..learners import HpSpace
@@ -55,6 +55,8 @@ def _unpack(theta: np.ndarray, d: int):
 
 
 def _neg_lml_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray):
+    from scipy.linalg import cho_solve, cholesky
+
     n, d = X.shape
     signal_var, lengths, noise_var = _unpack(theta, d)
     r, sq = _scaled_dists(X, X, lengths)
@@ -88,6 +90,9 @@ class GaussianProcess:
         self.theta: Optional[np.ndarray] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "GaussianProcess":
+        from scipy import optimize
+        from scipy.linalg import cho_solve, cholesky
+
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, d = X.shape
@@ -123,6 +128,8 @@ class GaussianProcess:
 
     def predict(self, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation of the latent function."""
+        from scipy.linalg import solve_triangular
+
         X_new = np.asarray(X_new, dtype=float)
         r, _ = _scaled_dists(X_new, self.X, self._lengths)
         K_star = _matern52(r, self._signal_var)
@@ -138,6 +145,8 @@ def _norm_pdf(z: np.ndarray) -> np.ndarray:
 
 def expected_improvement(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
     """EI for minimization: E[max(best - Y, 0)] under N(mu, sigma^2)."""
+    from scipy.special import ndtr
+
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     ei = np.maximum(best - mu, 0.0)

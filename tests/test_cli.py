@@ -12,7 +12,7 @@ from tabular_automl.orchestrator.cli import (
     _merged_job_config,
     main,
 )
-from tabular_automl.synth import make_multiclass_csv, make_regression_csv
+from tabular_automl.synth import make_multiclass_csv
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +201,53 @@ class TestConfigMerging:
         cfg.write_text(json.dumps({"buget": 10}))
         assert main(["fit", "--config", str(cfg)]) == EXIT_USAGE
         assert "buget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("budget", "10"),
+            ("parallelism", True),
+            ("seed", 1.5),
+            ("epsilon", "0.1"),
+            ("max_runtime", [5]),
+            ("target", 3),
+            ("problem_type", False),
+        ],
+    )
+    def test_wrong_typed_config_value_fails_before_any_phase(
+        self, tmp_path, small_regression_csv, capsys, key, value
+    ):
+        cfg = tmp_path / "cfg.json"
+        doc = {
+            "input": small_regression_csv,
+            "target": "response",
+            "output_dir": str(tmp_path / "job"),
+            key: value,
+        }
+        cfg.write_text(json.dumps(doc))
+        assert main(["fit", "--config", str(cfg)]) == EXIT_USAGE
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "job" / "folds").exists()
+        assert not (tmp_path / "job" / "candidates").exists()
+
+    def test_null_and_int_accepted_where_the_field_allows(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "input": "in.csv",
+                    "target": "y",
+                    "output_dir": "job",
+                    "max_runtime": None,
+                    "problem_type": None,
+                    "epsilon": 0,
+                }
+            )
+        )
+        args = _build_parser().parse_args(["fit", "--config", str(cfg)])
+        assert _merged_job_config(args) == JobConfig(
+            input_path="in.csv", target="y", output_dir="job", epsilon=0
+        )
 
     def test_required_flags_alone_give_job_config_defaults(self):
         args = _build_parser().parse_args(
@@ -449,6 +496,24 @@ class TestBenchCommand:
         doc = json.loads((out / "bench_report.json").read_text())
         assert doc["results"][0]["status"] == "completed"
         assert doc["results"][0]["dataset_id"] == "reg_small"
+
+    def test_unknown_manifest_key_is_usage_error(self, tmp_path, small_regression_csv, capsys):
+        manifest = tmp_path / "bench.json"
+        out = tmp_path / "bench"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "datasets": [
+                        {"id": "reg_small", "path": str(small_regression_csv), "target": "response"}
+                    ],
+                    "output_dir": str(out),
+                    "budegt": 10,
+                }
+            )
+        )
+        assert main(["bench", "--config", str(manifest)]) == EXIT_USAGE
+        assert "budegt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_without_tuning_keys_uses_job_config_defaults(
         self, tmp_path, small_regression_csv, monkeypatch

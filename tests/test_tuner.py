@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tabular_automl
 from tabular_automl.errors import (
     AllTrialsFailed,
     DegenerateHistory,
@@ -289,6 +295,35 @@ class TestSuggestBo:
 
     def test_statics_pass_through(self):
         assert suggest_bo([], STATIC_SPACE, np.random.default_rng(0)) == {"c": 1}
+
+    def test_scipy_loads_only_when_the_surrogate_runs(self):
+        # A fresh interpreter: this test process has scipy loaded already.
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import tabular_automl.orchestrator.cli
+            from tabular_automl.learners import HpDomain, HpSpace
+            from tabular_automl.tuner.bo import suggest_bo
+
+            def scipy_loaded():
+                return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+            assert not scipy_loaded(), "scipy imported at module level"
+            space = HpSpace(tunables=[HpDomain("x", "float", 0.0, 1.0)])
+            history = [({"x": 0.1}, 0.9), ({"x": 0.5}, 0.4), ({"x": 0.9}, 0.7)]
+            hp = suggest_bo(history, space, np.random.default_rng(0))
+            assert scipy_loaded(), "suggest_bo ran without scipy"
+            assert space.contains(hp), hp
+            """
+        )
+        src = str(Path(tabular_automl.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def make_arm(pid, fn, seeds=(), space=None):
