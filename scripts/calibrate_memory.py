@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from tabular_automl import learners, synth
-from tabular_automl.data_core import infer_problem_type, load_csv, profile_column
+from tabular_automl.data_core import infer_problem_type, load_csv
 from tabular_automl.transforms import TransformerSpec, apply, encode_labels, fit
 
 GRID = [(2000, 10), (4000, 20), (8000, 20), (8000, 40), (16000, 40)]
@@ -34,7 +34,7 @@ def _matrix(n_rows: int, n_cols: int):
         blocks.append(apply(f, [[row[j] for row in cols]]))
     X = np.hstack(blocks)
     target = t.column(t.target_index)
-    y, _ = encode_labels(target, infer_problem_type(profile_column(target), target))
+    y, _ = encode_labels(target, infer_problem_type(target))
     return X, y
 
 

@@ -1,0 +1,148 @@
+"""Run a fixed set of seeded `automl` commands from one source tree, or compare two runs.
+
+    python3 scripts/diff_outputs.py SRC OUT
+    python3 scripts/diff_outputs.py --compare A B
+
+The first form writes into OUT (which must not exist) with SRC, a checkout's
+`src/` directory, first on PYTHONPATH and BLAS pinned to one thread:
+
+- the synthetic inputs (`data/`): `make_regression_csv` (300 rows, seed 17),
+  `make_multiclass_csv` (240 rows, seed 2), `make_imbalanced_csv` (1 000 rows,
+  seed 1) and a 100 000-row `make_imbalanced_csv` (seed 5);
+- one job directory per command: `fit`, `rerun` of its candidates, a GP-EI
+  `rerun` of its `linear_*` definitions, `analyze`, `generate`, two `analyze`
+  runs with a `--problem-type` the target cannot take, a multiclass `fit`,
+  `predict` with the best model of each fit, a one-dataset `bench`, and
+  `analyze` and `predict` on the 100 000-row table;
+- `<step>.log` per command: its exit code, stdout and stderr.
+
+Commands run inside OUT on relative paths, and the logs name SRC as `<src>`
+without line numbers, so runs from two checkouts can be compared file by file.
+
+The second form runs `diff -r -x report.json A B` and compares every
+`report.json` with its `timings` values removed (the keys must match). It
+exits 0 when nothing differs.
+"""
+from __future__ import annotations
+
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+TUNE = ["--parallelism", "1"]
+
+
+def _job(cmd, data, target, out, *extra):
+    return [cmd, "--input", f"data/{data}", "--target", target, "--output-dir", out, *extra]
+
+
+def _steps(out: Path):
+    """(name, argv) pairs in run order; later steps read the jobs earlier ones wrote."""
+    yield "reg_fit", _job("fit", "regression.csv", "response", "reg_fit",
+                          "--budget", "12", "--seed", "3", *TUNE)
+    yield "reg_rerun", _job("rerun", "regression.csv", "response", "reg_rerun",
+                            "--definitions", "reg_fit/candidates",
+                            "--budget", "12", "--seed", "3", *TUNE)
+    linear = out / "data" / "linear_defs"
+    linear.mkdir()
+    for path in sorted((out / "reg_fit" / "candidates").glob("linear_*")):
+        shutil.copy(path, linear / path.name)
+    yield "reg_bo", _job("rerun", "regression.csv", "response", "reg_bo",
+                         "--definitions", "data/linear_defs", "--budget", "20", "--seed", "5",
+                         *TUNE)
+    yield "reg_analyze", _job("analyze", "regression.csv", "response", "reg_analyze")
+    yield "reg_generate", _job("generate", "regression.csv", "response", "reg_generate")
+    for kind in ("binary_classification", "multiclass_classification"):
+        yield f"reg_as_{kind}", _job("analyze", "regression.csv", "response", f"reg_as_{kind}",
+                                     "--problem-type", kind)
+    yield "mc_fit", _job("fit", "multiclass.csv", "stage", "mc_fit",
+                         "--budget", "8", "--seed", "1", *TUNE)
+    yield "mc_analyze", _job("analyze", "multiclass.csv", "stage", "mc_analyze")
+    yield "mc_generate", _job("generate", "multiclass.csv", "stage", "mc_generate")
+    yield "imb_fit", _job("fit", "imbalanced.csv", "churned", "imb_fit",
+                          "--budget", "10", "--seed", "3", *TUNE)
+    for job, data in (("reg_fit", "regression.csv"), ("reg_bo", "regression.csv"),
+                      ("mc_fit", "multiclass.csv"), ("imb_fit", "large.csv")):
+        report = json.loads((out / job / "report" / "report.json").read_text(encoding="utf-8"))
+        yield f"{job}_predict", ["predict", "--model", f"{job}/{report['best']['model']}",
+                                 "--input", f"data/{data}", "--output", f"{job}_predict.csv"]
+    yield "bench", ["bench", "--config", "data/bench.json"]
+    yield "large_analyze", _job("analyze", "large.csv", "churned", "large_analyze", "--seed", "3")
+
+
+def _write_data(out: Path, env: dict) -> None:
+    (out / "data").mkdir(parents=True)
+    code = (
+        "from tabular_automl import synth\n"
+        "synth.make_regression_csv('data/regression.csv', n_rows=300, seed=17)\n"
+        "synth.make_multiclass_csv('data/multiclass.csv', n_rows=240, seed=2)\n"
+        "synth.make_imbalanced_csv('data/imbalanced.csv', n_rows=1000, seed=1)\n"
+        "synth.make_imbalanced_csv('data/large.csv', n_rows=100000, seed=5)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], cwd=out, env=env, check=True)
+    manifest = {
+        "datasets": [{"id": "regression", "path": "data/regression.csv", "target": "response"}],
+        "output_dir": "bench",
+        "budget": 10,
+        "seed": 3,
+        "parallelism": 1,
+    }
+    (out / "data" / "bench.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+
+
+def run(src: Path, out: Path) -> int:
+    src, out = src.resolve(), out.resolve()
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    _write_data(out, env)
+    src_at_line = re.compile(re.escape(str(src)) + r"(/[^:\s]*\.py):\d+")
+    for name, argv in _steps(out):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tabular_automl.orchestrator.cli", *argv],
+            cwd=out, env=env, capture_output=True, text=True,
+        )
+        logs = "\n".join([f"exit={proc.returncode}", "--- stdout", proc.stdout,
+                          "--- stderr", proc.stderr])
+        logs = src_at_line.sub(r"<src>\1", logs).replace(str(src), "<src>")
+        (out / f"{name}.log").write_text(logs, encoding="utf-8")
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+def _without_timing_values(path: Path) -> dict:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["timings"] = sorted(doc.get("timings", {}))
+    return doc
+
+
+def compare(a: Path, b: Path) -> int:
+    differs = subprocess.run(["diff", "-r", "-x", "report.json", str(a), str(b)]).returncode != 0
+    reports_a = sorted(p.relative_to(a) for p in a.rglob("report.json"))
+    reports_b = sorted(p.relative_to(b) for p in b.rglob("report.json"))
+    if reports_a != reports_b:
+        print(f"report.json sets differ: {sorted(set(reports_a) ^ set(reports_b))}")
+        differs = True
+    for rel in reports_a:
+        if rel in reports_b and _without_timing_values(a / rel) != _without_timing_values(b / rel):
+            print(f"{rel} differs outside its timing values")
+            differs = True
+    n_files = sum(1 for p in a.rglob("*") if p.is_file())
+    print(f"{n_files} files, {len(reports_a)} report.json: {'DIFFER' if differs else 'identical'}")
+    return 1 if differs else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) == 2 and not argv[0].startswith("-"):
+        return run(Path(argv[0]), Path(argv[1]))
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

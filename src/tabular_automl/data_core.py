@@ -11,8 +11,9 @@ import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,11 +36,12 @@ DEFAULT_MISSING_LITERALS = frozenset({"", "na", "n/a", "nan", "null"})
 DEFAULT_IMBALANCE_THRESHOLD = 0.2
 DEFAULT_VALID_FRACTION = 0.2
 
-_DATE_PATTERNS = [
-    re.compile(r"^\d{4}-\d{2}-\d{2}([T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?(Z|[+-]\d{2}:?\d{2})?)?$"),
-    re.compile(r"^\d{4}/\d{2}/\d{2}$"),
-    re.compile(r"^\d{1,2}/\d{1,2}/\d{4}$"),
-]
+# Cells matching this (ISO 8601 date or date-time, YYYY/MM/DD, D/M/YYYY) are dates.
+_DATE_RE = re.compile(
+    r"^\d{4}-\d{2}-\d{2}([T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?(Z|[+-]\d{2}:?\d{2})?)?$"
+    r"|^\d{4}/\d{2}/\d{2}$"
+    r"|^\d{1,2}/\d{1,2}/\d{4}$"
+)
 
 
 def parse_number(value) -> Optional[float]:
@@ -166,6 +168,8 @@ class ColumnProfile:
     Numeric statistics cover the entries that parse as finite numbers and are
     None when no entry parses. std_dev uses the population formula; skewness
     is the standardized third moment, defined as 0 when std_dev is 0.
+    `numbers` holds the parsed cells in row order, NaN where a cell is
+    missing or not a finite number, so later passes need not parse again.
     """
 
     missing_fraction: float
@@ -180,6 +184,7 @@ class ColumnProfile:
     outlier_count_3sigma: int
     datetime_parse_fraction: float = 0.0
     n_values: int = 0
+    numbers: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def _nearest_rank(sorted_values: np.ndarray, p: float) -> float:
@@ -187,19 +192,38 @@ def _nearest_rank(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def profile_column(values: Sequence) -> ColumnProfile:
-    """Profile one column of string-or-missing cells."""
+def profile_column(values: Sequence[Optional[str]]) -> ColumnProfile:
+    """Profile one column of string-or-missing cells.
+
+    Each distinct value is parsed, tokenized and date-matched once and
+    weighted by its count, so the cost scales with the distinct values.
+    """
     n = len(values)
     if n == 0:
         raise ValueError("cannot profile an empty column")
-    present = [v for v in values if v is not None]
-    n_present = len(present)
+    counts = Counter(values)
+    n_present = n - counts.pop(None, 0)
     missing_fraction = 1.0 - n_present / n
 
-    numeric = np.array([x for x in (parse_number(v) for v in present) if x is not None])
-    numeric_parse_fraction = len(numeric) / n_present if n_present else 0.0
+    parsed: dict[str, float] = {}
+    n_tokens = n_alpha = dt_hits = 0
+    for v, c in counts.items():
+        tokens = v.split()
+        n_tokens += c * len(tokens)
+        # float() accepts no inner whitespace, so only one-token cells can
+        # parse. A number holds a digit and no '-' or '/' between digits, so
+        # it is neither an alpha token nor a date.
+        if len(tokens) == 1 and (x := parse_number(v)) is not None:
+            parsed[v] = x
+            continue
+        n_alpha += c * sum(map(str.isalpha, tokens))
+        if _DATE_RE.match(v):
+            dt_hits += c
 
-    n_unique = len({str(v) for v in present})
+    numbers = np.array([parsed.get(v, math.nan) for v in values], dtype=float)
+    # Boolean indexing keeps row order, which np.mean's pairwise sum depends on.
+    numeric = numbers[~np.isnan(numbers)]
+    numeric_parse_fraction = len(numeric) / n_present if n_present else 0.0
 
     percentiles = mean = std_dev = skewness = None
     outliers = 0
@@ -214,29 +238,20 @@ def profile_column(values: Sequence) -> ColumnProfile:
         else:
             skewness = 0.0
 
-    tokens_per_value = [str(v).split() for v in present]
-    all_tokens = [tok for toks in tokens_per_value for tok in toks]
-    mean_token_count = len(all_tokens) / n_present if n_present else 0.0
-    alpha_token_fraction = (
-        sum(1 for tok in all_tokens if tok.isalpha()) / len(all_tokens) if all_tokens else 0.0
-    )
-
-    dt_hits = sum(1 for v in present if any(p.match(str(v)) for p in _DATE_PATTERNS))
-    datetime_parse_fraction = dt_hits / n_present if n_present else 0.0
-
     return ColumnProfile(
         missing_fraction=missing_fraction,
         numeric_parse_fraction=numeric_parse_fraction,
-        n_unique=n_unique,
+        n_unique=len(counts),
         percentiles=percentiles,
         mean=mean,
         std_dev=std_dev,
         skewness=skewness,
-        mean_token_count=mean_token_count,
-        alpha_token_fraction=alpha_token_fraction,
+        mean_token_count=n_tokens / n_present if n_present else 0.0,
+        alpha_token_fraction=n_alpha / n_tokens if n_tokens else 0.0,
         outlier_count_3sigma=outliers,
-        datetime_parse_fraction=datetime_parse_fraction,
+        datetime_parse_fraction=dt_hits / n_present if n_present else 0.0,
         n_values=n,
+        numbers=numbers,
     )
 
 
@@ -250,26 +265,25 @@ class ProblemType:
         return self.kind != "regression"
 
 
-def infer_problem_type(target_profile: ColumnProfile, target_values: Sequence) -> ProblemType:
+def infer_problem_type(target_values: Iterable[Optional[str]]) -> ProblemType:
     """Classify the prediction problem from the target column.
 
     Non-numeric targets are categorical. Numeric targets with at most 20
     unique, all-integral values are treated as class labels; anything else
-    is regression.
+    is regression. Only the distinct values matter, so a Counter of the
+    column gives the same answer as the column itself.
     """
-    present = [v for v in target_values if v is not None]
-    uniques = {str(v) for v in present}
-    if len(uniques) <= 1:
+    distinct = set(target_values)
+    distinct.discard(None)
+    if len(distinct) <= 1:
         raise DegenerateTarget("target column has a single unique value")
 
-    parsed = [parse_number(v) for v in present]
-    all_numeric = all(x is not None for x in parsed)
-    if all_numeric:
-        all_integral = all(float(x).is_integer() for x in parsed)
-        if not (all_integral and len(uniques) <= 20):
+    parsed = [parse_number(v) for v in distinct]
+    if all(x is not None for x in parsed):
+        if not (len(distinct) <= 20 and all(x.is_integer() for x in parsed)):
             return ProblemType(kind="regression")
 
-    n_classes = len(uniques)
+    n_classes = len(distinct)
     kind = "binary_classification" if n_classes == 2 else "multiclass_classification"
     return ProblemType(kind=kind, n_classes=n_classes)
 
@@ -289,6 +303,14 @@ def _regression_strata(target_values: Sequence[str]) -> list[str]:
         else:
             labels.append(f"<bin {int(np.searchsorted(edges, x, side='left'))}>")
     return labels
+
+
+def stratum_valid_rows(n_rows: int, valid_fraction: float) -> int:
+    """Rows stratified_split puts in the valid fold from a stratum of n_rows.
+
+    stratified_split keeps a classification stratum of one row in train.
+    """
+    return int(math.floor(valid_fraction * n_rows + 0.5))
 
 
 def stratified_split(
@@ -323,7 +345,7 @@ def stratified_split(
                 f"class {g!r} has a single row; keeping it in train", ClassTooSmallWarning
             )
             continue
-        k = int(math.floor(valid_fraction * len(idx) + 0.5))
+        k = stratum_valid_rows(len(idx), valid_fraction)
         order = rng.permutation(len(idx))
         valid_idx.extend(idx[j] for j in order[:k])
 
@@ -363,44 +385,43 @@ class MetaFeatures:
 
 
 def _estimate_size_bytes(t: RawTable) -> int:
-    total = sum(len(name.encode("utf-8")) for name in t.column_names) + t.n_cols
-    for row in t.cells:
-        total += sum(len(c.encode("utf-8")) if c is not None else 0 for c in row) + t.n_cols
-    return total
+    """UTF-8 bytes of the header and the present cells, plus one separator per cell."""
+    text = "".join(t.column_names) + "".join(filter(None, chain.from_iterable(t.cells)))
+    return len(text.encode("utf-8")) + (t.n_rows + 1) * t.n_cols
 
 
 def compute_meta_features(
     t: RawTable, profiles: Sequence[ColumnProfile], types: Sequence["ColumnType"]
 ) -> MetaFeatures:
-    """Dataset-level statistics. `profiles`/`types` align with t's feature columns."""
+    """Dataset-level statistics.
+
+    `profiles`/`types` align with t's feature columns, and each profile is
+    profile_column of that column of t: correlations use its parsed numbers.
+    """
     feature_idx = t.feature_indices()
     if len(profiles) != len(feature_idx) or len(types) != len(feature_idx):
         raise ValueError("profiles/types must align with the table's feature columns")
+    if any(p.n_values != t.n_rows for p in profiles):
+        raise ValueError("profiles must cover every row of the table")
 
     type_distribution = dict(Counter(ct.value for ct in types))
 
     n_cells = t.n_rows * t.n_cols
-    present = sum(1 for row in t.cells for c in row if c is not None)
+    present = n_cells - sum(row.count(None) for row in t.cells)
     density = present / n_cells if n_cells else 0.0
 
     target = t.column(t.target_index)
-    target_problem = infer_problem_type(profile_column(target), target)
     from .schema import ColumnType
     from .transforms import encode_labels
 
-    y, _ = encode_labels(target, target_problem)
+    y, _ = encode_labels(target, infer_problem_type(target))
     correlations: dict[str, float] = {}
-    for idx, ctype in zip(feature_idx, types):
+    for idx, profile, ctype in zip(feature_idx, profiles, types):
         if ctype != ColumnType.NUMERIC:
             continue
-        col = [parse_number(v) for v in t.column(idx)]
-        pairs = [(x, yy) for x, yy in zip(col, y) if x is not None]
-        if len(pairs) < 2:
-            correlations[t.column_names[idx]] = 0.0
-            continue
-        xs = np.array([p[0] for p in pairs])
-        ys = np.array([p[1] for p in pairs])
-        if xs.std() == 0 or ys.std() == 0:
+        parsed = ~np.isnan(profile.numbers)
+        xs, ys = profile.numbers[parsed], y[parsed]
+        if len(xs) < 2 or xs.std() == 0 or ys.std() == 0:
             correlations[t.column_names[idx]] = 0.0
         else:
             correlations[t.column_names[idx]] = float(abs(np.corrcoef(xs, ys)[0, 1]))

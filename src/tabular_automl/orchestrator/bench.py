@@ -124,7 +124,7 @@ def _run_one(ds: BenchDataset, jobs_dir: Path, job_args: dict) -> BenchResult:
     try:
         table = load_csv(ds.path, ds.target)
         table, _ = drop_missing_target(table)
-        problem = _validated_problem(table, ds.problem_override)
+        problem = _validated_problem(table, ds.problem_override, TEST_FRACTION)
         rest, test = stratified_split(table, TEST_FRACTION, problem, cfg.seed)
 
         job_dir.mkdir(parents=True, exist_ok=True)

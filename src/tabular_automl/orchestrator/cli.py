@@ -199,7 +199,7 @@ def cmd_zeroshot(args) -> int:
     for entry in datasets:
         t = load_csv(entry["path"], entry["target"])
         t, _ = drop_missing_target(t)
-        problem = job._validated_problem(t, entry.get("problem_type"))
+        problem = job._validated_problem(t, entry.get("problem_type"), valid_fraction)
         train, valid = stratified_split(t, valid_fraction, problem, seed)
         handles.append(DatasetHandle(id=entry["id"], train=train, valid=valid))
 

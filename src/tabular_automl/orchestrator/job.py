@@ -11,6 +11,7 @@ A job owns one output directory:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -30,6 +31,7 @@ from ..data_core import (
     parse_number,
     profile_column,
     stratified_split,
+    stratum_valid_rows,
 )
 from ..errors import AutomlError, WrongProblemType
 from ..schema import SchemaReport, build_schema
@@ -108,25 +110,38 @@ class _Job:
     defs: list[PipelineDefinition] = field(default_factory=list)
 
 
-def _validated_problem(t: RawTable, override: Optional[str]) -> ProblemType:
-    target = t.column(t.target_index)
-    inferred = infer_problem_type(profile_column(target), target)
-    if override is None:
-        return inferred
-    uniques = {str(v) for v in target if v is not None}
+def _validated_problem(t: RawTable, override: Optional[str], valid_fraction: float) -> ProblemType:
+    """The inferred problem, or the override when the target fits it.
+
+    A classification problem must have a class big enough to put a row in
+    the valid fold of `valid_fraction`; otherwise the split would warn once
+    per class and leave that fold empty.
+    """
+    counts = Counter(t.column(t.target_index))
+    counts.pop(None, None)
+    problem = infer_problem_type(counts)
     if override == "regression":
-        if any(parse_number(v) is None for v in target if v is not None):
+        if any(parse_number(v) is None for v in counts):
             raise WrongProblemType("regression override but target has unparseable values")
-        return ProblemType(kind="regression")
-    if override == "binary_classification":
-        if len(uniques) != 2:
-            raise WrongProblemType(f"binary override but target has {len(uniques)} classes")
-        return ProblemType(kind="binary_classification", n_classes=2)
-    if override == "multiclass_classification":
-        if len(uniques) < 2:
+        problem = ProblemType(kind="regression")
+    elif override == "binary_classification":
+        if len(counts) != 2:
+            raise WrongProblemType(f"binary override but target has {len(counts)} classes")
+        problem = ProblemType(kind="binary_classification", n_classes=2)
+    elif override == "multiclass_classification":
+        if len(counts) < 2:
             raise WrongProblemType("multiclass override but target is constant")
-        return ProblemType(kind="multiclass_classification", n_classes=len(uniques))
-    raise WrongProblemType(f"unknown problem type {override!r}")
+        problem = ProblemType(kind="multiclass_classification", n_classes=len(counts))
+    elif override is not None:
+        raise WrongProblemType(f"unknown problem type {override!r}")
+    if problem.is_classification and not any(
+        m > 1 and stratum_valid_rows(m, valid_fraction) for m in counts.values()
+    ):
+        raise WrongProblemType(
+            f"{problem.kind}: the target has {len(counts)} distinct values in"
+            f" {sum(counts.values())} rows, and no class has enough rows for the valid fold"
+        )
+    return problem
 
 
 def analyze_table(
@@ -134,7 +149,7 @@ def analyze_table(
 ) -> Analysis:
     """The candidate-generation analysis pass over one loaded table."""
     t, n_dropped = drop_missing_target(t)
-    problem = _validated_problem(t, problem_override)
+    problem = _validated_problem(t, problem_override, valid_fraction)
     train, valid = stratified_split(t, valid_fraction, problem, seed)
 
     feature_idx = train.feature_indices()

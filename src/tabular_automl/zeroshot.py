@@ -74,8 +74,7 @@ class PortfolioSelection:
 
 def _analyze(handle: DatasetHandle):
     t = handle.train
-    target_col = t.column(t.target_index)
-    problem = infer_problem_type(profile_column(target_col), target_col)
+    problem = infer_problem_type(t.column(t.target_index))
     feature_idx = t.feature_indices()
     profiles = [profile_column(t.column(i)) for i in feature_idx]
     names = [t.column_names[i] for i in feature_idx]

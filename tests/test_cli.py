@@ -1,9 +1,13 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from tabular_automl.orchestrator import JobConfig, JobReport, bench, run_fit, run_rerun
+from tabular_automl import data_core
+from tabular_automl.data_core import profile_column
+from tabular_automl.errors import WrongProblemType
+from tabular_automl.orchestrator import JobConfig, JobReport, bench, job, run_fit, run_rerun
 from tabular_automl.orchestrator.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -105,6 +109,50 @@ class TestAnalyze:
         report = json.loads((tmp_path / "job" / "report" / "report.json").read_text())
         assert report["status"] == "failed"
         assert "WrongProblemType" in report["message"]
+
+    def test_classification_override_without_a_valid_fold_fails_cleanly(
+        self, tmp_path, small_regression_csv, capsys
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                [
+                    "analyze",
+                    "--input", str(small_regression_csv),
+                    "--target", "response",
+                    "--output-dir", str(tmp_path / "job"),
+                    "--problem-type", "multiclass_classification",
+                ]
+            )
+        assert code == EXIT_FAILURE
+        report = json.loads((tmp_path / "job" / "report" / "report.json").read_text())
+        assert report["message"] == (
+            "WrongProblemType: multiclass_classification: the target has 300 distinct values"
+            " in 300 rows, and no class has enough rows for the valid fold"
+        )
+        assert caught == []
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_inferred_classification_without_a_valid_fold_fails(self):
+        # 12 distinct labels of 2 rows each: a class needs 3 rows to put one in a 0.2 fold
+        cells = [[str(i), f"id{i // 2}"] for i in range(24)]
+        t = data_core.RawTable(["x", "y"], cells, 1)
+        with pytest.raises(WrongProblemType, match="12 distinct values in 24 rows"):
+            job.analyze_table(t, seed=0, valid_fraction=0.2)
+        assert job.analyze_table(t, seed=0, valid_fraction=0.5).valid.n_rows == 12
+
+    def test_profiles_each_feature_column_once(self, monkeypatch, small_regression_csv):
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return profile_column(values)
+
+        monkeypatch.setattr(job, "profile_column", counting)
+        monkeypatch.setattr(data_core, "profile_column", counting)
+        t = data_core.load_csv(small_regression_csv, "response")
+        job.analyze_table(t, seed=0, valid_fraction=0.2)
+        assert len(calls) == len(t.feature_indices())
 
 
 class TestGenerate:

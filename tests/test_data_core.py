@@ -153,26 +153,26 @@ class TestProfileColumn:
 class TestProblemType:
     def test_two_strings_binary(self):
         vals = ["yes", "no"] * 10
-        pt = infer_problem_type(profile_column(vals), vals)
+        pt = infer_problem_type(vals)
         assert pt.kind == "binary_classification"
         assert pt.n_classes == 2
 
     def test_distinct_floats_regression(self):
         vals = [f"{i + 0.5}" for i in range(1000)]
-        pt = infer_problem_type(profile_column(vals), vals)
+        pt = infer_problem_type(vals)
         assert pt.kind == "regression"
         assert not pt.is_classification
 
     def test_small_int_codes_multiclass(self):
         vals = [str(i % 5) for i in range(500)]
-        pt = infer_problem_type(profile_column(vals), vals)
+        pt = infer_problem_type(vals)
         assert pt.kind == "multiclass_classification"
         assert pt.n_classes == 5
 
     def test_constant_target_degenerate(self):
         vals = ["1"] * 20
         with pytest.raises(DegenerateTarget):
-            infer_problem_type(profile_column(vals), vals)
+            infer_problem_type(vals)
 
 
 def _table(labels, n_extra_cols=1):
@@ -184,7 +184,7 @@ def _table(labels, n_extra_cols=1):
 class TestStratifiedSplit:
     def test_balanced_exact_counts(self):
         t = _table(["a"] * 50 + ["b"] * 50)
-        pt = infer_problem_type(profile_column(t.column(1)), t.column(1))
+        pt = infer_problem_type(t.column(1))
         train, valid = stratified_split(t, 0.2, pt, seed=0)
         assert train.n_rows == 80 and valid.n_rows == 20
         for fold, expected in ((train, 40), (valid, 10)):
@@ -194,14 +194,14 @@ class TestStratifiedSplit:
 
     def test_same_seed_identical(self):
         t = _table(["a", "b"] * 30)
-        pt = infer_problem_type(profile_column(t.column(1)), t.column(1))
+        pt = infer_problem_type(t.column(1))
         a = stratified_split(t, 0.25, pt, seed=9)
         b = stratified_split(t, 0.25, pt, seed=9)
         assert a[0].cells == b[0].cells and a[1].cells == b[1].cells
 
     def test_singleton_class_goes_to_train(self):
         t = _table(["a"] * 30 + ["b"] * 30 + ["rare"])
-        pt = infer_problem_type(profile_column(t.column(1)), t.column(1))
+        pt = infer_problem_type(t.column(1))
         with pytest.warns(ClassTooSmallWarning):
             train, valid = stratified_split(t, 0.2, pt, seed=1)
         assert "rare" in train.column(1)
@@ -209,14 +209,14 @@ class TestStratifiedSplit:
 
     def test_too_few_rows(self):
         t = _table(["a", "b"] * 4)  # 8 rows
-        pt = infer_problem_type(profile_column(t.column(1)), t.column(1))
+        pt = infer_problem_type(t.column(1))
         with pytest.raises(TooFewRows):
             stratified_split(t, 0.2, pt, seed=0)
 
     def test_regression_split_partitions_rows(self):
         labels = [f"{v:.4f}" for v in np.random.default_rng(3).normal(size=57)]
         t = _table(labels)
-        pt = infer_problem_type(profile_column(t.column(1)), t.column(1))
+        pt = infer_problem_type(t.column(1))
         train, valid = stratified_split(t, 0.3, pt, seed=5)
         seen = sorted(r[0] for r in train.cells) + sorted(r[0] for r in valid.cells)
         assert sorted(seen) == sorted(r[0] for r in t.cells)
@@ -226,7 +226,7 @@ class TestStratifiedSplit:
     def test_split_is_a_partition(self, seed, fraction):
         labels = ["a"] * 24 + ["b"] * 12 + ["c"] * 6
         t = _table(labels)
-        pt = infer_problem_type(profile_column(t.column(1)), t.column(1))
+        pt = infer_problem_type(t.column(1))
         train, valid = stratified_split(t, fraction, pt, seed=seed)
         assert train.n_rows + valid.n_rows == t.n_rows
 
@@ -234,7 +234,7 @@ class TestStratifiedSplit:
 class TestImbalance:
     def _pt(self):
         vals = ["0", "1"] * 10
-        return infer_problem_type(profile_column(vals), vals)
+        return infer_problem_type(vals)
 
     def test_heavy_imbalance(self):
         info = detect_imbalance(["0"] * 990 + ["1"] * 10, self._pt())
@@ -253,7 +253,7 @@ class TestImbalance:
 
     def test_wrong_problem_type(self):
         vals = [f"{i}.5" for i in range(30)]
-        pt = infer_problem_type(profile_column(vals), vals)
+        pt = infer_problem_type(vals)
         with pytest.raises(WrongProblemType):
             detect_imbalance(vals, pt)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabular_automl import transforms
-from tabular_automl.data_core import profile_column, infer_problem_type
+from tabular_automl.data_core import infer_problem_type
 from tabular_automl.errors import (
     ArityMismatch,
     ClampedInputWarning,
@@ -178,7 +178,7 @@ class TestPca:
 
 class TestEncodeLabels:
     def _pt(self, values):
-        return infer_problem_type(profile_column(values), values)
+        return infer_problem_type(values)
 
     def test_lexicographic_class_ids(self):
         values = ["no", "yes"] * 5
