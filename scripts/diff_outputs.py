@@ -12,8 +12,10 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
 - one job directory per command: `fit`, `rerun` of its candidates, a GP-EI
   `rerun` of its `linear_*` definitions, `analyze`, `generate`, two `analyze`
   runs with a `--problem-type` the target cannot take, a multiclass `fit`,
-  `predict` with the best model of each fit, a one-dataset `bench`, and
-  `analyze` and `predict` on the 100 000-row table;
+  a one-trial `rerun` of `baseline_gbt` on the 1 000-row table, `predict`
+  with the best model of each fit, a one-dataset `bench`, and `analyze` and
+  `predict` (with the `imb_fit` and the `baseline_gbt` models) on the
+  100 000-row table;
 - `<step>.log` per command: its exit code, stdout and stderr.
 
 Commands run inside OUT on relative paths, and the logs name SRC as `<src>`
@@ -65,8 +67,16 @@ def _steps(out: Path):
     yield "mc_generate", _job("generate", "multiclass.csv", "stage", "mc_generate")
     yield "imb_fit", _job("fit", "imbalanced.csv", "churned", "imb_fit",
                           "--budget", "10", "--seed", "3", *TUNE)
+    # One baseline_gbt trial (its first seed point: 100 trees of depth 6), so
+    # the 100 000-row scoring always runs trees, standardize, one-hot and tf-idf.
+    gbt = out / "data" / "gbt_defs"
+    gbt.mkdir()
+    shutil.copy(out / "imb_fit" / "candidates" / "baseline_gbt.pipeline", gbt)
+    yield "imb_gbt", _job("rerun", "imbalanced.csv", "churned", "imb_gbt",
+                          "--definitions", "data/gbt_defs", "--budget", "1", "--seed", "3", *TUNE)
     for job, data in (("reg_fit", "regression.csv"), ("reg_bo", "regression.csv"),
-                      ("mc_fit", "multiclass.csv"), ("imb_fit", "large.csv")):
+                      ("mc_fit", "multiclass.csv"), ("imb_fit", "large.csv"),
+                      ("imb_gbt", "large.csv")):
         report = json.loads((out / job / "report" / "report.json").read_text(encoding="utf-8"))
         yield f"{job}_predict", ["predict", "--model", f"{job}/{report['best']['model']}",
                                  "--input", f"data/{data}", "--output", f"{job}_predict.csv"]

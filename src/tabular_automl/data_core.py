@@ -192,6 +192,18 @@ def _nearest_rank(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[rank - 1])
 
 
+def _skewness(numeric: np.ndarray, mean: float, std_dev: float) -> float:
+    """Third standardized moment. The cubes, or std_dev**3 (past about
+    5.6e102), can overflow; then the deviations are scaled before cubing."""
+    try:
+        skewness = float(((numeric - mean) ** 3).mean() / std_dev**3)
+    except OverflowError:
+        skewness = math.nan
+    if math.isfinite(skewness):
+        return skewness
+    return float((((numeric - mean) / std_dev) ** 3).mean())
+
+
 def profile_column(values: Sequence[Optional[str]]) -> ColumnProfile:
     """Profile one column of string-or-missing cells.
 
@@ -233,8 +245,9 @@ def profile_column(values: Sequence[Optional[str]]) -> ColumnProfile:
         mean = float(numeric.mean())
         std_dev = float(numeric.std())  # population
         if std_dev > 0:
-            skewness = float(((numeric - mean) ** 3).mean() / std_dev**3)
-            outliers = int(np.sum(np.abs(numeric - mean) > 3 * std_dev))
+            with np.errstate(all="ignore"):
+                skewness = _skewness(numeric, mean, std_dev)
+                outliers = int(np.sum(np.abs(numeric - mean) > 3 * std_dev))
         else:
             skewness = 0.0
 

@@ -154,18 +154,17 @@ def cmd_predict(args) -> int:
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # Rows are zipped from whole columns; csv writes each float as its repr.
     with open(out, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         if meta["problem_kind"] == "regression":
             w.writerow(["prediction"])
-            w.writerows([repr(v)] for v in preds.tolist())
+            w.writerows(zip(preds.tolist()))
         else:
             classes = sorted(mapping, key=mapping.get)
             w.writerow(["prediction"] + [f"p_{c}" for c in classes])
             labels = [classes[k] for k in preds.argmax(axis=1).tolist()]
-            w.writerows(
-                [label] + [repr(p) for p in row] for label, row in zip(labels, preds.tolist())
-            )
+            w.writerows(zip(labels, *preds.T.tolist()))
     print(f"wrote {len(preds)} predictions to {out}")
     return EXIT_OK
 

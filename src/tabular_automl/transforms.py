@@ -8,10 +8,10 @@ serialize to JSON without a custom codec.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -33,7 +33,17 @@ ONE_HOT_MAX_CATEGORIES = 1000
 OTHER_CATEGORY = "<other>"
 MISSING_CATEGORY = "<missing>"
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+class _TokenChars(dict):
+    """`str.translate` table: keeps a-z and 0-9 and blanks every other character,
+    so `.split()` then yields the maximal runs of [a-z0-9]."""
+
+    def __missing__(self, char: int) -> str:
+        return " "
+
+
+_TOKEN_CHARS = _TokenChars({ord(ch): ch for ch in "abcdefghijklmnopqrstuvwxyz0123456789"})
+_ROW_BREAK = "|"  # blanked by the table, so no token ever equals it
 
 
 @dataclass
@@ -82,7 +92,7 @@ def _numeric_column(values: Sequence[Optional[str]]) -> tuple[np.ndarray, float]
 
 
 def _tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2]
+    return [t for t in text.lower().translate(_TOKEN_CHARS).split() if len(t) >= 2]
 
 
 def fit(spec: TransformerSpec, data: Union[Columns, np.ndarray]) -> FittedTransformer:
@@ -226,21 +236,29 @@ def apply(f: FittedTransformer, data: Union[Columns, np.ndarray]) -> np.ndarray:
     elif spec.kind == "one_hot":
         for c, vocab in zip(columns, f.state["vocabs"]):
             index = {cat: i for i, cat in enumerate(vocab)}
-            block = np.zeros((n_rows, len(vocab) + 1))
-            for r, v in enumerate(c):
-                key = MISSING_CATEGORY if v is None else str(v)
-                block[r, index.get(key, len(vocab))] = 1.0
+            other = len(vocab)
+            codes = [index.get(MISSING_CATEGORY if v is None else str(v), other) for v in c]
+            block = np.zeros((n_rows, other + 1))
+            block[np.arange(n_rows), codes] = 1.0
             outs.append(block)
     elif spec.kind == "tfidf":
         for c, vocab, idf in zip(columns, f.state["vocabs"], f.state["idfs"]):
-            index = {tok: i for i, tok in enumerate(vocab)}
-            block = np.zeros((n_rows, len(vocab)))
-            for r, v in enumerate(c):
-                if v is None:
-                    continue
-                for tok, count in Counter(_tokenize(str(v))).items():
-                    if tok in index:
-                        block[r, index[tok]] = count * idf[index[tok]]
+            width = len(vocab)
+            # _tokenize drops one-character tokens, so they never count.
+            index = {tok: i for i, tok in enumerate(vocab) if len(tok) >= 2}
+            index[_ROW_BREAK] = -2
+            # All rows are tokenized as one string, with a break token between rows.
+            text = f" {_ROW_BREAK} ".join(
+                ["" if v is None else str(v).lower().translate(_TOKEN_CHARS) for v in c]
+            )
+            codes = np.array(list(map(index.get, text.split(), repeat(-1))), dtype=np.intp)
+            rows = np.cumsum(codes == -2)
+            hit = codes >= 0
+            counts = np.bincount(rows[hit] * width + codes[hit], minlength=n_rows * width)
+            counts = counts.reshape(n_rows, width)
+            # count * idf as a float64 product, written only where a token occurs
+            block = np.zeros((n_rows, width))
+            np.multiply(counts, np.asarray(idf, dtype=float), out=block, where=counts > 0)
             outs.append(block)
     else:
         raise ValueError(f"unknown transformer kind {spec.kind!r}")

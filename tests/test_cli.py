@@ -95,6 +95,19 @@ class TestAnalyze:
         assert not list((out / "folds").iterdir())
         assert not list((out / "candidates").iterdir())
 
+    def test_feature_spread_past_float_cube_range_is_profiled(self, tmp_path, capsys):
+        # std_dev**3 of this column overflows a float; analysis must still finish.
+        rows = ["big,small,y"] + [f"{(i * 7 % 40) * 2.5e102!r},{i % 3},{i % 2}" for i in range(40)]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", "--input", str(path), "--target", "y",
+                         "--output-dir", str(tmp_path / "job")])
+        assert code == EXIT_OK
+        assert "status=generated_only" in capsys.readouterr().out
+        assert caught == []
+
     def test_impossible_override_fails(self, tmp_path, small_regression_csv):
         code = main(
             [
