@@ -13,9 +13,13 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
   `rerun` of its `linear_*` definitions, `analyze`, `generate`, two `analyze`
   runs with a `--problem-type` the target cannot take, a multiclass `fit`,
   a one-trial `rerun` of `baseline_gbt` on the 1 000-row table, `predict`
-  with the best model of each fit, a one-dataset `bench`, and `analyze` and
+  with the best model of each fit, and `analyze` and
   `predict` (with the `imb_fit` and the `baseline_gbt` models) on the
   100 000-row table;
+- a two-dataset `bench` (regression and multiclass), so the test-fold labels
+  of a classification dataset are encoded and scored;
+- a `zeroshot` over the regression and multiclass tables with 7 configs, plus
+  the 1 000-row binary table with a `"problem_type": "regression"` override;
 - `<step>.log` per command: its exit code, stdout and stderr.
 
 Commands run inside OUT on relative paths, and the logs name SRC as `<src>`
@@ -81,6 +85,7 @@ def _steps(out: Path):
         yield f"{job}_predict", ["predict", "--model", f"{job}/{report['best']['model']}",
                                  "--input", f"data/{data}", "--output", f"{job}_predict.csv"]
     yield "bench", ["bench", "--config", "data/bench.json"]
+    yield "zeroshot", ["zeroshot", "--config", "data/zeroshot.json"]
     yield "large_analyze", _job("analyze", "large.csv", "churned", "large_analyze", "--seed", "3")
 
 
@@ -94,14 +99,28 @@ def _write_data(out: Path, env: dict) -> None:
         "synth.make_imbalanced_csv('data/large.csv', n_rows=100000, seed=5)\n"
     )
     subprocess.run([sys.executable, "-c", code], cwd=out, env=env, check=True)
-    manifest = {
-        "datasets": [{"id": "regression", "path": "data/regression.csv", "target": "response"}],
+    regression = {"id": "regression", "path": "data/regression.csv", "target": "response"}
+    multiclass = {"id": "multiclass", "path": "data/multiclass.csv", "target": "stage"}
+    bench = {
+        "datasets": [regression, multiclass],
         "output_dir": "bench",
         "budget": 10,
         "seed": 3,
         "parallelism": 1,
     }
-    (out / "data" / "bench.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    # The binary 0/1 target with a regression override must be scored as regression.
+    zeroshot = {
+        "datasets": [regression, multiclass, {"id": "churn_as_regression",
+                                              "path": "data/imbalanced.csv", "target": "churned",
+                                              "problem_type": "regression"}],
+        "output_dir": "zeroshot",
+        "k": 3,
+        "max_configs": 7,
+        "seed": 3,
+    }
+    for name, manifest in (("bench", bench), ("zeroshot", zeroshot)):
+        (out / "data" / f"{name}.json").write_text(json.dumps(manifest, indent=1),
+                                                   encoding="utf-8")
 
 
 def run(src: Path, out: Path) -> int:

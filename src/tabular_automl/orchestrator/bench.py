@@ -12,16 +12,15 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .. import learners
-from ..data_core import ProblemType, RawTable, drop_missing_target, load_csv, parse_number, stratified_split
+from ..data_core import ProblemType, RawTable, load_csv
 from ..errors import ValidationError
 from ..learners.metrics import Loss
-from ..strategy import Strategy, apply_preprocessor, execute_preprocessing, preprocessor_from_dict, realize
+from ..strategy import Strategy, apply_preprocessor, execute_preprocessing, realize
 from ..strategy.builtin import GBT_SEEDS
+from ..transforms import encode_labels
 from . import artifacts
-from .job import JobConfig, _validated_problem, analyze_table, run_fit
+from .job import JobConfig, analyze_table, load_trial_model, run_fit, split_table
 
 TEST_FRACTION = 0.1
 BASELINE_HP = dict(GBT_SEEDS[0])  # subsample 1.0: seed-independent
@@ -65,41 +64,22 @@ def relative_error_difference(engine_loss: float, baseline_loss: float) -> float
     return (engine_loss - baseline_loss) / denom
 
 
-def _encode_test_labels(target, problem: ProblemType, mapping: Optional[dict]):
-    if problem.is_classification:
-        if mapping is None:
-            raise ValidationError("classification model artifact lacks a label mapping")
-        try:
-            return np.array([mapping[str(v)] for v in target], dtype=int)
-        except KeyError as exc:
-            raise ValidationError(f"test label {exc.args[0]!r} unseen in training") from None
-    values = [parse_number(v) for v in target]
-    if any(v is None for v in values):
-        raise ValidationError("test target has unparseable regression values")
-    return np.array(values, dtype=float)
-
-
 def score_stored_model(job_dir, best: dict, test: RawTable, problem: ProblemType) -> Loss:
     """Score a fit job's winning artifact on held-out raw rows."""
-    job_dir = Path(job_dir)
-    model_doc = artifacts.load_json(job_dir / best["model"])
-    fitted, mapping, _ = preprocessor_from_dict(artifacts.load_json(job_dir / best["preprocessor"]))
-    feats = test.feature_indices()
-    names = [test.column_names[i] for i in feats]
-    rows = [[row[i] for i in feats] for row in test.cells]
-    X = apply_preprocessor(fitted, names, rows)
-    y = _encode_test_labels(test.column(test.target_index), problem, mapping)
-    model = learners.model_from_dict(model_doc["model"])
+    model, fitted, mapping, _ = load_trial_model(Path(job_dir) / best["model"])
+    X = apply_preprocessor(fitted, test.column_names, test.cells)
+    y, _ = encode_labels(test.column(test.target_index), problem, mapping)
     return learners.evaluate(learners.predict(model, X), y, problem)
 
 
-def baseline_loss(rest: RawTable, test: RawTable, seed: int, valid_fraction: float) -> Loss:
+def baseline_loss(rest: RawTable, test: RawTable, cfg: JobConfig) -> Loss:
     """Degenerate pipeline on the engine's train fold, scored on the test fold.
 
-    Trained under the same protocol as engine candidates: when the problem is
-    imbalanced binary, the baseline gets the same class weights.
+    Trained under the same protocol as engine candidates (`cfg` is the engine
+    job's): the same problem, and when it is imbalanced binary, the same
+    class weights.
     """
-    analysis = analyze_table(rest, seed, valid_fraction)
+    analysis = analyze_table(rest, cfg.seed, cfg.valid_fraction, cfg.problem_override)
     strategy = Strategy(id="bench_baseline", algorithm="gbt", seeds=[dict(BASELINE_HP)])
     d = realize(strategy, analysis.schema, analysis.profiles, analysis.mf, analysis.problem)
     prep = execute_preprocessing(d, analysis.train, test)
@@ -107,7 +87,7 @@ def baseline_loss(rest: RawTable, test: RawTable, seed: int, valid_fraction: flo
     weights = None
     if analysis.imbalance is not None and analysis.imbalance.is_imbalanced:
         weights = learners.class_weights(prep.y_train)
-    model = learners.train("gbt", prep.X_train, prep.y_train, hp, weights=weights, seed=seed)
+    model = learners.train("gbt", prep.X_train, prep.y_train, hp, weights=weights, seed=cfg.seed)
     return learners.evaluate(learners.predict(model, prep.X_valid), prep.y_valid, analysis.problem)
 
 
@@ -122,10 +102,9 @@ def _run_one(ds: BenchDataset, jobs_dir: Path, job_args: dict) -> BenchResult:
     )
     result = BenchResult(dataset_id=ds.dataset_id, status="failed")
     try:
-        table = load_csv(ds.path, ds.target)
-        table, _ = drop_missing_target(table)
-        problem = _validated_problem(table, ds.problem_override, TEST_FRACTION)
-        rest, test = stratified_split(table, TEST_FRACTION, problem, cfg.seed)
+        split = split_table(load_csv(ds.path, ds.target), cfg.seed, TEST_FRACTION,
+                            cfg.problem_override)
+        rest, test, problem = split.train, split.valid, split.problem
 
         job_dir.mkdir(parents=True, exist_ok=True)
         artifacts.write_fold_csv(rest, cfg.input_path)
@@ -135,7 +114,7 @@ def _run_one(ds: BenchDataset, jobs_dir: Path, job_args: dict) -> BenchResult:
             return result
 
         engine = score_stored_model(job_dir, report.best, test, problem)
-        base = baseline_loss(rest, test, cfg.seed, cfg.valid_fraction)
+        base = baseline_loss(rest, test, cfg)
         result.status = "completed"
         result.loss_kind = engine.kind
         result.engine_loss = engine.value

@@ -13,15 +13,9 @@ import typing
 from pathlib import Path
 
 from .. import learners
-from ..data_core import (
-    DEFAULT_VALID_FRACTION,
-    drop_missing_target,
-    load_csv,
-    load_feature_csv,
-    stratified_split,
-)
+from ..data_core import DEFAULT_VALID_FRACTION, load_csv, load_feature_csv
 from ..errors import AutomlError
-from ..strategy import apply_preprocessor, builtin_portfolio, preprocessor_from_dict
+from ..strategy import apply_preprocessor, builtin_portfolio
 from ..zeroshot import (
     DatasetHandle,
     ZeroShotConfig,
@@ -33,7 +27,7 @@ from ..zeroshot import (
     select_portfolio_greedy,
     selection_to_portfolio,
 )
-from . import artifacts, job
+from . import job
 from .bench import BenchDataset, run_bench
 
 EXIT_OK = 0
@@ -141,15 +135,9 @@ def cmd_rerun(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model_path = Path(args.model)
-    model_doc = artifacts.load_json(model_path)
-    job_dir = model_path.parent.parent
-    fitted, mapping, meta = preprocessor_from_dict(
-        artifacts.load_json(job_dir / model_doc["preprocessor"])
-    )
+    model, fitted, mapping, meta = job.load_trial_model(args.model)
     header, cells = load_feature_csv(args.input)
     X = apply_preprocessor(fitted, header, cells)
-    model = learners.model_from_dict(model_doc["model"])
     preds = learners.predict(model, X)
 
     out = Path(args.output)
@@ -169,52 +157,77 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _manifest_datasets(doc: dict) -> list[dict]:
+_DATASET_KEYS = {"id": str, "path": str, "target": str, "problem_type": typing.Optional[str]}
+
+
+def _manifest(path, keys: dict) -> dict:
+    """A bench or zeroshot manifest: a `datasets` list, an `output_dir`, and
+    any of the command's own `keys` (name -> type hint)."""
+    doc = _load_config_file(path)
+    unknown = set(doc) - set(keys) - {"datasets", "output_dir"}
+    if unknown:
+        raise _UsageError(f"unknown manifest keys: {sorted(unknown)}")
     datasets = doc.get("datasets")
     if not isinstance(datasets, list) or not datasets:
         raise _UsageError("config needs a non-empty 'datasets' list")
     for entry in datasets:
+        if not isinstance(entry, dict):
+            raise _UsageError(f"dataset entry must be an object, got {entry!r}")
         for key in ("id", "path", "target"):
             if key not in entry:
                 raise _UsageError(f"dataset entry missing {key!r}: {entry}")
-    return datasets
+        unknown = set(entry) - set(_DATASET_KEYS)
+        if unknown:
+            raise _UsageError(f"unknown dataset entry keys {sorted(unknown)}: {entry}")
+        for key, value in entry.items():
+            _check_type(key, value, _DATASET_KEYS[key])
+    if not doc.get("output_dir"):
+        raise _UsageError("config needs 'output_dir'")
+    for key, hint in dict(keys, output_dir=str).items():
+        if key in doc:
+            _check_type(key, doc[key], hint)
+    return doc
+
+
+_ZEROSHOT_KEYS = {"k": int, "solver": str, "seed": int, "valid_fraction": float,
+                  "max_configs": typing.Optional[int]}
 
 
 def cmd_zeroshot(args) -> int:
-    doc = _load_config_file(args.config)
-    datasets = _manifest_datasets(doc)
-    out_dir = doc.get("output_dir")
-    if not out_dir:
-        raise _UsageError("config needs 'output_dir'")
-    k = int(doc.get("k", 5))
+    doc = _manifest(args.config, _ZEROSHOT_KEYS)
+    k = doc.get("k", 5)
     solver = doc.get("solver", "greedy")
     if solver not in ("greedy", "exact"):
         raise _UsageError(f"solver must be greedy or exact, got {solver!r}")
-    seed = int(doc.get("seed", 0))
-    valid_fraction = float(doc.get("valid_fraction", DEFAULT_VALID_FRACTION))
-    max_configs = doc.get("max_configs")
+    seed = doc.get("seed", 0)
+    valid_fraction = doc.get("valid_fraction", DEFAULT_VALID_FRACTION)
 
-    handles = []
-    for entry in datasets:
-        t = load_csv(entry["path"], entry["target"])
-        t, _ = drop_missing_target(t)
-        problem = job._validated_problem(t, entry.get("problem_type"), valid_fraction)
-        train, valid = stratified_split(t, valid_fraction, problem, seed)
-        handles.append(DatasetHandle(id=entry["id"], train=train, valid=valid))
+    # Each dataset is split and analyzed as `fit` would do it.
+    handles = [
+        DatasetHandle(
+            id=entry["id"],
+            analysis=job.analyze_table(
+                load_csv(entry["path"], entry["target"]),
+                seed,
+                valid_fraction,
+                entry.get("problem_type"),
+            ),
+        )
+        for entry in doc["datasets"]
+    ]
 
     configs = []
     for strategy in builtin_portfolio().strategies:
         for hp in strategy.seeds:
             configs.append(ZeroShotConfig(strategy=strategy, hp=dict(hp)))
-    if max_configs is not None:
-        configs = configs[: int(max_configs)]
+    configs = configs[: doc.get("max_configs")]
 
     table = normalize(build_performance_table(configs, handles, seed))
     select = select_portfolio_exact if solver == "exact" else select_portfolio_greedy
     selection = select(table, k)
     portfolio = selection_to_portfolio(table, selection)
 
-    out = Path(out_dir)
+    out = Path(doc["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     save_performance_table(table, out / "performance_table.csv")
     save_portfolio(portfolio, out / "portfolio.json")
@@ -226,23 +239,21 @@ def cmd_zeroshot(args) -> int:
     return EXIT_OK
 
 
-# Bench manifest key -> (JobConfig field, cast). Absent keys keep JobConfig's defaults.
+# Bench manifest key -> JobConfig field. Absent keys keep JobConfig's defaults.
 _BENCH_KEYS = {
-    "budget": ("budget", int),
-    "epsilon": ("epsilon", float),
-    "parallelism": ("parallelism", int),
-    "seed": ("seed", int),
-    "max_runtime": ("max_runtime", lambda v: v),
-    "valid_fraction": ("valid_fraction", float),
-    "portfolio": ("portfolio_path", lambda v: v),
+    "budget": "budget",
+    "epsilon": "epsilon",
+    "parallelism": "parallelism",
+    "seed": "seed",
+    "max_runtime": "max_runtime",
+    "valid_fraction": "valid_fraction",
+    "portfolio": "portfolio_path",
 }
 
 
 def cmd_bench(args) -> int:
-    doc = _load_config_file(args.config)
-    unknown = set(doc) - set(_BENCH_KEYS) - {"datasets", "output_dir"}
-    if unknown:
-        raise _UsageError(f"unknown manifest keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(job.JobConfig)
+    doc = _manifest(args.config, {key: hints[field] for key, field in _BENCH_KEYS.items()})
     datasets = [
         BenchDataset(
             dataset_id=e["id"],
@@ -250,15 +261,10 @@ def cmd_bench(args) -> int:
             target=e["target"],
             problem_override=e.get("problem_type"),
         )
-        for e in _manifest_datasets(doc)
+        for e in doc["datasets"]
     ]
-    out_dir = doc.get("output_dir")
-    if not out_dir:
-        raise _UsageError("config needs 'output_dir'")
-    job_args = {
-        field: cast(doc[key]) for key, (field, cast) in _BENCH_KEYS.items() if key in doc
-    }
-    summary = run_bench(datasets, out_dir, **job_args)
+    job_args = {field: doc[key] for key, field in _BENCH_KEYS.items() if key in doc}
+    summary = run_bench(datasets, doc["output_dir"], **job_args)
     for r in summary.results:
         if r.status == "completed":
             print(

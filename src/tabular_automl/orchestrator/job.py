@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .. import learners, resources
 from ..data_core import (
@@ -41,6 +41,7 @@ from ..strategy import (
     builtin_portfolio,
     execute_preprocessing,
     parse_definitions,
+    preprocessor_from_dict,
     preprocessor_to_dict,
     realize,
     recommend_strategies,
@@ -144,13 +145,32 @@ def _validated_problem(t: RawTable, override: Optional[str], valid_fraction: flo
     return problem
 
 
+class Split(NamedTuple):
+    table: RawTable  # the rows that have a target
+    n_dropped: int
+    problem: ProblemType
+    train: RawTable
+    valid: RawTable
+
+
+def split_table(
+    t: RawTable, seed: int, fraction: float, problem_override: Optional[str] = None
+) -> Split:
+    """Drop the rows without a target, settle the problem, split off `fraction`.
+
+    Every fold in the engine comes from here: a job's train/valid folds, and
+    the bench's test fold.
+    """
+    t, n_dropped = drop_missing_target(t)
+    problem = _validated_problem(t, problem_override, fraction)
+    return Split(t, n_dropped, problem, *stratified_split(t, fraction, problem, seed))
+
+
 def analyze_table(
     t: RawTable, seed: int, valid_fraction: float, problem_override: Optional[str] = None
 ) -> Analysis:
     """The candidate-generation analysis pass over one loaded table."""
-    t, n_dropped = drop_missing_target(t)
-    problem = _validated_problem(t, problem_override, valid_fraction)
-    train, valid = stratified_split(t, valid_fraction, problem, seed)
+    t, n_dropped, problem, train, valid = split_table(t, seed, valid_fraction, problem_override)
 
     feature_idx = train.feature_indices()
     names = [train.column_names[i] for i in feature_idx]
@@ -280,6 +300,17 @@ def _generate(job: _Job) -> None:
     job.defs = generate_definitions(job.analysis, _portfolio(job.cfg))
     _write_candidates(job)
     job.report.timings["generate_s"] = time.monotonic() - started
+
+
+def load_trial_model(model_path) -> tuple[learners.Model, list, Optional[dict], dict]:
+    """A `models/trial_<k>.json` artifact's model, with its pipeline's fitted
+    transformers, label mapping and metadata (see `preprocessor_from_dict`)."""
+    model_path = Path(model_path)
+    doc = artifacts.load_json(model_path)
+    fitted, mapping, meta = preprocessor_from_dict(
+        artifacts.load_json(model_path.parent.parent / doc["preprocessor"])
+    )
+    return learners.model_from_dict(doc["model"]), fitted, mapping, meta
 
 
 def _make_arm(

@@ -50,58 +50,35 @@ def _select(table: RawTable, names: Sequence[str]) -> list[list]:
     return [table.column(index[n]) for n in names]
 
 
-def _encode_valid_labels(
-    valid_target: list, problem: ProblemType, mapping: Optional[dict], pipeline_id: str
-) -> np.ndarray:
-    if not problem.is_classification:
-        y, _ = transforms.encode_labels(valid_target, problem)
-        return y
-    out = []
-    for v in valid_target:
-        key = str(v)
-        if key not in mapping:
-            raise ValidationError(
-                f"pipeline {pipeline_id}: validation label {key!r} never seen in training"
-            )
-        out.append(mapping[key])
-    return np.array(out, dtype=int)
-
-
 def execute_preprocessing(
     d: PipelineDefinition, train: RawTable, valid: RawTable
 ) -> PreprocessedData:
-    """Fit transformers on train, apply to train and valid, encode labels."""
+    """Fit transformers on train, apply to train and valid, encode labels.
+
+    The folds are transformed by `apply_preprocessor`, the code that scores
+    new rows, so a stored preprocessor reproduces X_valid exactly.
+    """
     _check_columns(d, train)
     problem = ProblemType(kind=d.problem_kind, n_classes=d.n_classes)
 
-    column_specs = [s for s in d.transformers if s.kind in transforms.COLUMN_KINDS]
-    matrix_specs = [s for s in d.transformers if s.kind in transforms.MATRIX_KINDS]
-
     fitted: list[FittedTransformer] = []
-    train_blocks, valid_blocks = [], []
-    for spec in column_specs:
-        if not spec.select_columns:
-            raise ValidationError(
-                f"pipeline {d.pipeline_id}: {spec.kind} needs explicit columns"
-            )
-        f = transforms.fit(spec, _select(train, spec.select_columns))
-        fitted.append(f)
-        train_blocks.append(transforms.apply(f, _select(train, spec.select_columns)))
-        valid_blocks.append(transforms.apply(f, _select(valid, spec.select_columns)))
-
-    X_train = np.hstack(train_blocks) if train_blocks else np.zeros((train.n_rows, 0))
-    X_valid = np.hstack(valid_blocks) if valid_blocks else np.zeros((valid.n_rows, 0))
-
-    for spec in matrix_specs:
-        f = transforms.fit(spec, X_train)
-        fitted.append(f)
-        X_train = transforms.apply(f, X_train)
-        X_valid = transforms.apply(f, X_valid)
+    for spec in d.transformers:
+        if spec.kind in transforms.COLUMN_KINDS:
+            if not spec.select_columns:
+                raise ValidationError(
+                    f"pipeline {d.pipeline_id}: {spec.kind} needs explicit columns"
+                )
+            fitted.append(transforms.fit(spec, _select(train, spec.select_columns)))
+    X_train = apply_preprocessor(fitted, train.column_names, train.cells)
+    for spec in d.transformers:
+        if spec.kind in transforms.MATRIX_KINDS:
+            f = transforms.fit(spec, X_train)
+            fitted.append(f)
+            X_train = transforms.apply(f, X_train)
+    X_valid = apply_preprocessor(fitted, valid.column_names, valid.cells)
 
     y_train, mapping = transforms.encode_labels(train.column(train.target_index), problem)
-    y_valid = _encode_valid_labels(
-        valid.column(valid.target_index), problem, mapping, d.pipeline_id
-    )
+    y_valid, _ = transforms.encode_labels(valid.column(valid.target_index), problem, mapping)
     return PreprocessedData(
         X_train=X_train,
         X_valid=X_valid,
@@ -138,6 +115,8 @@ def preprocessor_to_dict(
 def preprocessor_from_dict(doc: dict) -> tuple[list[FittedTransformer], Optional[dict], dict]:
     if doc.get("version") != PREPROCESSOR_VERSION:
         raise ValidationError(f"unsupported preprocessor version {doc.get('version')!r}")
+    if doc["problem_kind"] != "regression" and doc.get("label_mapping") is None:
+        raise ValidationError("classification model artifact lacks a label mapping")
     fitted = [
         FittedTransformer(
             spec=TransformerSpec(kind=t["kind"], params=t["params"], select_columns=t["columns"]),
@@ -158,7 +137,8 @@ def preprocessor_from_dict(doc: dict) -> tuple[list[FittedTransformer], Optional
 def apply_preprocessor(
     fitted: list[FittedTransformer], column_names: Sequence[str], cells: Sequence[Sequence]
 ) -> np.ndarray:
-    """Score-time application to raw rows (no target column required)."""
+    """Apply fitted transformers to raw rows (no target column required):
+    the folds at fit time, new rows at score time."""
     index = {n: i for i, n in enumerate(column_names)}
     n_rows = len(cells)
     blocks = []

@@ -24,6 +24,7 @@ from .errors import (
     EmptySelection,
     NonFiniteInput,
     UnparseableRegressionTarget,
+    ValidationError,
 )
 
 COLUMN_KINDS = ("impute_mean", "standardize", "one_hot", "quantile_bin", "log_transform", "tfidf")
@@ -50,8 +51,6 @@ _ROW_BREAK = "|"  # blanked by the table, so no token ever equals it
 class TransformerSpec:
     kind: str
     params: dict = field(default_factory=dict)
-    # Either a primary-type name ("numeric", "text", ...) or an explicit list.
-    select_type: Optional[str] = None
     select_columns: Optional[list[str]] = None
 
     def __post_init__(self):
@@ -269,12 +268,22 @@ def apply(f: FittedTransformer, data: Union[Columns, np.ndarray]) -> np.ndarray:
     return result
 
 
-def encode_labels(target: Sequence, problem: ProblemType) -> tuple[np.ndarray, Optional[dict]]:
-    """Encode the target column: class ids (lexicographic) or parsed floats."""
+def encode_labels(
+    target: Sequence, problem: ProblemType, mapping: Optional[dict] = None
+) -> tuple[np.ndarray, Optional[dict]]:
+    """Encode the target column: class ids or parsed floats.
+
+    Without a `mapping`, classes get lexicographic ids (the train fold). With
+    one, a valid or test fold is encoded against it; a label it lacks is a
+    ValidationError.
+    """
     if problem.is_classification:
-        classes = sorted({str(v) for v in target})
-        mapping = {c: i for i, c in enumerate(classes)}
-        return np.array([mapping[str(v)] for v in target], dtype=int), mapping
+        if mapping is None:
+            mapping = {c: i for i, c in enumerate(sorted({str(v) for v in target}))}
+        try:
+            return np.array([mapping[str(v)] for v in target], dtype=int), mapping
+        except KeyError as exc:
+            raise ValidationError(f"label {exc.args[0]!r} never seen in training") from None
     values = []
     for v in target:
         x = parse_number(v)

@@ -13,14 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from . import learners
-from .data_core import RawTable, compute_meta_features, infer_problem_type, profile_column
 from .errors import TooLarge
-from .schema import build_schema
 from .strategy import (
     Strategy,
     StrategyPortfolio,
@@ -29,6 +27,9 @@ from .strategy import (
     realize,
 )
 from .strategy.core import strategy_from_dict, strategy_to_dict
+
+if TYPE_CHECKING:  # job imports this module
+    from .orchestrator.job import Analysis
 
 FAILURE_PENALTY = 1.5
 EXACT_GUARD = 10**6
@@ -44,11 +45,11 @@ class ZeroShotConfig:
 
 @dataclass
 class DatasetHandle:
-    """One table column: a dataset with its held-out validation split."""
+    """One table column: a dataset as a job analyzes it (`job.analyze_table`),
+    with its problem, train and valid folds, schema and meta-features."""
 
     id: str
-    train: RawTable
-    valid: RawTable
+    analysis: Analysis
 
 
 @dataclass
@@ -72,27 +73,16 @@ class PortfolioSelection:
     objective: float
 
 
-def _analyze(handle: DatasetHandle):
-    t = handle.train
-    problem = infer_problem_type(t.column(t.target_index))
-    feature_idx = t.feature_indices()
-    profiles = [profile_column(t.column(i)) for i in feature_idx]
-    names = [t.column_names[i] for i in feature_idx]
-    schema = build_schema(profiles, names=names)
-    mf = compute_meta_features(t, profiles, [e.primary for e in schema.entries])
-    return problem, schema, dict(zip(names, profiles)), mf
-
-
-def _evaluate_cell(config: ZeroShotConfig, handle: DatasetHandle, analysis, seed: int) -> float:
-    problem, schema, profiles, mf = analysis
-    if not is_applicable(config.strategy, schema, mf):
+def _evaluate_cell(config: ZeroShotConfig, handle: DatasetHandle, seed: int) -> float:
+    a = handle.analysis
+    if not is_applicable(config.strategy, a.schema, a.mf):
         raise ValueError(f"strategy {config.strategy.id} not applicable to {handle.id}")
-    definition = realize(config.strategy, schema, profiles, mf, problem)
-    prep = execute_preprocessing(definition, handle.train, handle.valid)
+    definition = realize(config.strategy, a.schema, a.profiles, a.mf, a.problem)
+    prep = execute_preprocessing(definition, a.train, a.valid)
     hp = definition.space.clamp(config.hp)
     model = learners.train(definition.algorithm, prep.X_train, prep.y_train, hp, seed=seed)
     preds = learners.predict(model, prep.X_valid)
-    return learners.evaluate(preds, prep.y_valid, problem).value
+    return learners.evaluate(preds, prep.y_valid, a.problem).value
 
 
 def build_performance_table(
@@ -108,18 +98,13 @@ def build_performance_table(
     """
     if not configs or not collection:
         raise ValueError("need at least one configuration and one dataset")
+    evaluator = evaluator or _evaluate_cell
     B, D = len(configs), len(collection)
     raw = np.full((B, D), np.nan)
-    analyses: dict = {}
     for j, handle in enumerate(collection):
-        if evaluator is None:
-            analyses[handle.id] = _analyze(handle)
         for i, config in enumerate(configs):
             try:
-                if evaluator is not None:
-                    raw[i, j] = evaluator(config, handle, seed)
-                else:
-                    raw[i, j] = _evaluate_cell(config, handle, analyses[handle.id], seed)
+                raw[i, j] = evaluator(config, handle, seed)
             except Exception:
                 pass  # left as NaN, penalized below
 

@@ -2,9 +2,10 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tabular_automl import data_core
+from tabular_automl import data_core, learners
 from tabular_automl.data_core import profile_column
 from tabular_automl.errors import WrongProblemType
 from tabular_automl.orchestrator import JobConfig, JobReport, bench, job, run_fit, run_rerun
@@ -24,6 +25,30 @@ def multiclass_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "stages.csv"
     make_multiclass_csv(path, n_rows=240, seed=2)
     return path
+
+
+@pytest.fixture(scope="module")
+def int_target_csv(tmp_path_factory):
+    """200 rows whose integer target 1-4 is inferred as four classes."""
+    path = tmp_path_factory.mktemp("data") / "levels.csv"
+    rng = np.random.default_rng(4)
+    x, noise = rng.normal(size=200), rng.normal(size=200)
+    rows = [f"{a:.4f},{b:.4f},{int(np.clip(round(a + 2.5), 1, 4))}" for a, b in zip(x, noise)]
+    path.write_text("\n".join(["x,noise,level"] + rows) + "\n")
+    return str(path)
+
+
+def _scored_problem_kinds(monkeypatch) -> list:
+    """The problem kind of every `learners.evaluate` call made from now on."""
+    kinds = []
+    evaluate = learners.evaluate
+
+    def spy(predictions, y, problem):
+        kinds.append(problem.kind)
+        return evaluate(predictions, y, problem)
+
+    monkeypatch.setattr(learners, "evaluate", spy)
+    return kinds
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +554,55 @@ class TestZeroShotCommand:
         manifest.write_text(json.dumps({"datasets": []}))
         assert main(["zeroshot", "--config", str(manifest)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "top, entry",
+        [
+            ({"solvr": "exact"}, {}),
+            ({}, {"problem": "regression"}),
+            ({"k": 2.5}, {}),
+            ({"max_configs": "3"}, {}),
+            ({"seed": True}, {}),
+            ({}, {"target": 7}),
+        ],
+        ids=["unknown_key", "unknown_entry_key", "float_k", "str_max_configs", "bool_seed",
+             "int_target"],
+    )
+    def test_unknown_or_wrong_typed_manifest_key_is_usage_error(
+        self, tmp_path, small_regression_csv, capsys, top, entry
+    ):
+        out = tmp_path / "zs"
+        dataset = {"id": "reg_small", "path": small_regression_csv, "target": "response"}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {"datasets": [dict(dataset, **entry)], "output_dir": str(out), "max_configs": 1}
+                | top
+            )
+        )
+        assert main(["zeroshot", "--config", str(manifest)]) == EXIT_USAGE
+        (key,) = top | entry
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_problem_type_override_is_scored_as_fit_would(
+        self, tmp_path, int_target_csv, monkeypatch
+    ):
+        kinds = _scored_problem_kinds(monkeypatch)
+        manifest = tmp_path / "manifest.json"
+        dataset = {
+            "id": "levels",
+            "path": int_target_csv,
+            "target": "level",
+            "problem_type": "regression",
+        }
+        manifest.write_text(
+            json.dumps(
+                {"datasets": [dataset], "output_dir": str(tmp_path / "zs"), "k": 1, "max_configs": 2}
+            )
+        )
+        assert main(["zeroshot", "--config", str(manifest)]) == EXIT_OK
+        assert kinds == ["regression", "regression"]
+
 
 class TestBenchCommand:
     def test_single_dataset_bench(self, tmp_path, small_regression_csv, capsys):
@@ -575,6 +649,41 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(manifest)]) == EXIT_USAGE
         assert "budegt" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("budget", 2.9), ("seed", True), ("portfolio", 5)])
+    def test_wrong_typed_manifest_value_is_usage_error(
+        self, tmp_path, small_regression_csv, capsys, key, value
+    ):
+        manifest = tmp_path / "bench.json"
+        out = tmp_path / "bench"
+        dataset = {"id": "reg_small", "path": small_regression_csv, "target": "response"}
+        doc = {"datasets": [dataset], "output_dir": str(out), "budget": 10, "parallelism": 1}
+        manifest.write_text(json.dumps(doc | {key: value}))
+        assert main(["bench", "--config", str(manifest)]) == EXIT_USAGE
+        assert repr(key) in capsys.readouterr().err
+        assert not (out / "jobs").exists()
+
+    def test_problem_type_override_reaches_engine_and_baseline(
+        self, tmp_path, int_target_csv, monkeypatch
+    ):
+        kinds = _scored_problem_kinds(monkeypatch)
+        manifest = tmp_path / "bench.json"
+        out = tmp_path / "bench"
+        dataset = {
+            "id": "levels",
+            "path": int_target_csv,
+            "target": "level",
+            "problem_type": "regression",
+        }
+        manifest.write_text(
+            json.dumps(
+                {"datasets": [dataset], "output_dir": str(out), "budget": 10, "parallelism": 1}
+            )
+        )
+        assert main(["bench", "--config", str(manifest)]) == EXIT_OK
+        doc = json.loads((out / "bench_report.json").read_text())
+        assert doc["results"][0]["loss_kind"] == "rmse"
+        assert kinds and set(kinds) == {"regression"}
 
     def test_manifest_without_tuning_keys_uses_job_config_defaults(
         self, tmp_path, small_regression_csv, monkeypatch

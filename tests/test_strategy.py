@@ -26,7 +26,7 @@ from tabular_automl.strategy import (
     strategy_from_dict,
     strategy_to_dict,
 )
-from tabular_automl.strategy.preprocess import preprocessor_to_dict
+from tabular_automl.strategy.preprocess import preprocessor_from_dict, preprocessor_to_dict
 
 REGRESSION = ProblemType(kind="regression")
 
@@ -362,6 +362,18 @@ class TestPreprocessing:
         )
         with pytest.raises(ValidationError, match="never seen in training"):
             execute_preprocessing(d, train, valid)
+
+    def test_classification_preprocessor_without_label_mapping_rejected(self):
+        doc = {
+            "version": 1,
+            "pipeline_id": "p",
+            "problem_kind": "binary_classification",
+            "n_classes": 2,
+            "transformers": [],
+            "label_mapping": None,
+        }
+        with pytest.raises(ValidationError, match="lacks a label mapping"):
+            preprocessor_from_dict(doc)
 
     def test_unknown_column_rejected(self):
         from tabular_automl.transforms import TransformerSpec

@@ -3,6 +3,7 @@ import pytest
 
 from tabular_automl.data_core import RawTable
 from tabular_automl.errors import TooLarge
+from tabular_automl.orchestrator.job import analyze_table
 from tabular_automl.strategy import builtin_portfolio
 from tabular_automl.zeroshot import (
     DatasetHandle,
@@ -126,7 +127,7 @@ class TestBuildTable:
                 raise RuntimeError("boom")
             return 2.0 if config.hp["n"] == 0 else 1.0
 
-        handles = [DatasetHandle(id="d0", train=None, valid=None)]
+        handles = [DatasetHandle(id="d0", analysis=None)]
         P = build_performance_table(configs(3), handles, seed=0, evaluator=evaluator)
         assert P.losses[:, 0].tolist() == [2.0, 3.0, 1.0]
 
@@ -134,7 +135,7 @@ class TestBuildTable:
         def evaluator(config, handle, seed):
             raise RuntimeError("boom")
 
-        handles = [DatasetHandle(id="d0", train=None, valid=None)]
+        handles = [DatasetHandle(id="d0", analysis=None)]
         P = build_performance_table(configs(2), handles, seed=0, evaluator=evaluator)
         assert P.losses[:, 0].tolist() == [1.0, 1.0]
 
@@ -151,7 +152,7 @@ class TestBuildTable:
             names = ["x", "y"]
             cells = [[f"{x:.5f}", f"{v:.5f}"] for x, v in zip(xs, ys)]
             t = RawTable(column_names=names, cells=cells, target_index=1)
-            return DatasetHandle(id=hid, train=t.subset(range(60)), valid=t.subset(range(60, 80)))
+            return DatasetHandle(id=hid, analysis=analyze_table(t, seed=0, valid_fraction=0.25))
 
         pool = builtin_portfolio().strategies
         cfgs = [
