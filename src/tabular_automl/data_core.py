@@ -12,7 +12,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, count
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -117,12 +117,15 @@ def _read_csv_cells(path, missing_literals) -> tuple[list[str], list[list[Option
         raise EmptyData(f"{path}: no data rows")
 
     n_cols = len(header)
-    cells: list[list[Optional[str]]] = []
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise MalformedCsv(f"{path}: row {i + 2} has {len(row)} fields, expected {n_cols}")
-        cells.append([None if c.lower() in lowered else c for c in row])
-    return header, cells
+    lengths = list(map(len, rows))
+    if lengths.count(n_cols) != len(lengths):
+        i = next(i for i, n in enumerate(lengths) if n != n_cols)
+        raise MalformedCsv(f"{path}: row {i + 2} has {lengths[i]} fields, expected {n_cols}")
+    # The reader's row lists become the cells: only the missing ones are rewritten.
+    flags = map(lowered.__contains__, map(str.lower, chain.from_iterable(rows)))
+    for k in compress(count(), flags):
+        rows[k // n_cols][k % n_cols] = None
+    return header, rows
 
 
 def load_csv(path, target_name: str, missing_literals=DEFAULT_MISSING_LITERALS) -> RawTable:

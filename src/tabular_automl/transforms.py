@@ -75,14 +75,26 @@ class FittedTransformer:
 Columns = Sequence[Sequence[Optional[str]]]
 
 
+def _parsed(values: Sequence[Optional[str]]) -> np.ndarray:
+    """Each cell as a float; missing and unparseable cells are NaN.
+
+    Non-finite cells ("inf", "1e400") may come back as inf: every caller
+    masks with `np.isfinite`, which treats them as `parse_number`'s None.
+    """
+    try:
+        return np.fromiter(map(float, map({None: "nan"}.get, values, values)), float, len(values))
+    except (TypeError, ValueError):
+        return np.array(
+            [x if (x := parse_number(v)) is not None else np.nan for v in values], dtype=float
+        )
+
+
 def _numeric_column(values: Sequence[Optional[str]]) -> tuple[np.ndarray, float]:
-    """Parse one column; returns (values with NaN for missing, fit mean).
+    """Parse one column; returns (values, non-finite where missing, fit mean).
 
     All-missing (or all-unparseable) columns impute a constant 0 and warn.
     """
-    parsed = np.array(
-        [x if (x := parse_number(v)) is not None else np.nan for v in values], dtype=float
-    )
+    parsed = _parsed(values)
     finite = parsed[np.isfinite(parsed)]
     if len(finite) == 0:
         warnings.warn("column has no parseable values; imputing 0", DegenerateFitWarning)
@@ -191,9 +203,7 @@ def _fit_pca(spec: TransformerSpec, X: np.ndarray) -> FittedTransformer:
 
 
 def _filled(values: Sequence[Optional[str]], mean: float) -> np.ndarray:
-    parsed = np.array(
-        [x if (x := parse_number(v)) is not None else np.nan for v in values], dtype=float
-    )
+    parsed = _parsed(values)
     return np.where(np.isfinite(parsed), parsed, mean)
 
 

@@ -1,15 +1,19 @@
 """Trial execution loop: issue, run, report, rank.
 
 Arms carry a runner callable so the same engine drives real training jobs
-and simulated losses. With parallelism=1 the loop is strictly sequential
-and bit-reproducible; otherwise a thread pool keeps up to `parallelism`
-trials in flight and results are reported in completion order.
+and simulated losses. With parallelism=1 the loop runs every trial in this
+process, strictly in turn. With parallelism=P > 1 each trial runs in its
+own forked child process, which inherits the arms (runners may be closures
+over in-memory matrices, so nothing is pickled on the way in) and sends
+back only `(loss, payload, error, duration)`. Results are applied in
+trial-id order, and trial k is issued only after trials 0..k-P have been
+applied, so the trial log depends on P but never on timing.
 """
 from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -92,12 +96,18 @@ def build_leaderboard(state: TunerState) -> Leaderboard:
 
 
 def _execute(trial: Trial, arm: TunerArm, cfg: TunerConfig):
+    """Run one trial: (loss, payload, error, duration), one of loss/error None."""
     started = time.monotonic()
     try:
         loss, payload = arm.runner(trial, trial_seed(cfg.seed, trial.trial_id))
-        return trial, loss, payload, None, time.monotonic() - started
+        return loss, payload, None, time.monotonic() - started
     except Exception:
-        return trial, None, None, traceback.format_exc(limit=3), time.monotonic() - started
+        return None, None, traceback.format_exc(limit=3), time.monotonic() - started
+
+
+def _child(conn, trial: Trial, arm: TunerArm, cfg: TunerConfig) -> None:
+    conn.send(_execute(trial, arm, cfg))
+    conn.close()
 
 
 def _log(sink, record: dict):
@@ -105,8 +115,8 @@ def _log(sink, record: dict):
         sink(record)
 
 
-def _report(state: TunerState, outcome, sink) -> None:
-    trial, loss, payload, error, duration = outcome
+def _report(state: TunerState, trial: Trial, outcome, sink) -> None:
+    loss, payload, error, duration = outcome
     trial.duration = duration
     if error is None:
         trial.payload = payload
@@ -124,6 +134,61 @@ def _report(state: TunerState, outcome, sink) -> None:
     else:
         report_result(state, trial.trial_id, error=error)
         _log(sink, {"event": "failed", "trial": trial.trial_id, "error": error.splitlines()[-1]})
+
+
+def _collect(proc, recv, started: float):
+    """The outcome a finished child sent, or a failure if it died without one."""
+    try:
+        outcome = recv.recv()
+    except EOFError:
+        outcome = None
+    recv.close()
+    proc.join()
+    if outcome is None:
+        error = f"WorkerDied: trial process exited with code {proc.exitcode} and no result"
+        outcome = (None, None, error, time.monotonic() - started)
+    return outcome
+
+
+def _run_forked(state: TunerState, by_id: dict, cfg: TunerConfig, issue, deadline, sink) -> None:
+    """Keep up to P trials in flight, one forked child each; apply in id order.
+
+    Only the head (oldest) trial's pipe is waited on, until the deadline. A
+    child that dies without sending a result reads as EOF and fails its
+    trial. Once the deadline has passed nothing more is issued, and each
+    trial still in flight when it reaches the head is killed and failed.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    pending: deque = deque()  # (trial, process, receiving end, start time)
+    try:
+        while True:
+            while len(pending) < cfg.parallelism and (trial := issue()) is not None:
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_child, args=(send, trial, by_id[trial.pipeline_id], cfg))
+                proc.start()
+                send.close()
+                pending.append((trial, proc, recv, time.monotonic()))
+            if not pending:
+                return
+            trial, proc, recv, started = pending[0]
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+            if recv.poll(wait):
+                outcome = _collect(proc, recv, started)
+            else:
+                proc.kill()
+                proc.join()
+                recv.close()
+                error = f"TimeoutError: trial killed at the {cfg.max_runtime} s wall-clock limit"
+                outcome = (None, None, error, time.monotonic() - started)
+            pending.popleft()
+            _report(state, trial, outcome, sink)
+    finally:
+        for _, proc, recv, _ in pending:
+            proc.kill()
+            proc.join()
+            recv.close()
 
 
 def run(
@@ -174,23 +239,9 @@ def run(
             trial = issue()
             if trial is None:
                 break
-            _report(state, _execute(trial, by_id[trial.pipeline_id], cfg), log_sink)
+            _report(state, trial, _execute(trial, by_id[trial.pipeline_id], cfg), log_sink)
     else:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            pending = set()
-            stop = False
-            while True:
-                while not stop and len(pending) < cfg.parallelism:
-                    trial = issue()
-                    if trial is None:
-                        stop = True
-                        break
-                    pending.add(pool.submit(_execute, trial, by_id[trial.pipeline_id], cfg))
-                if not pending:
-                    break
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    _report(state, future.result(), log_sink)
+        _run_forked(state, by_id, cfg, issue, deadline, log_sink)
 
     leaderboard = build_leaderboard(state)
     if not leaderboard.entries:

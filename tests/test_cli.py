@@ -444,6 +444,43 @@ class TestPredict:
         assert f"p_{first[0]}" in header
 
 
+class TestParallelFit:
+    def test_two_workers_rank_as_the_serial_fit_does(self, tmp_path, multiclass_csv):
+        from tabular_automl.strategy import StrategyPortfolio, builtin_portfolio
+        from tabular_automl.zeroshot import save_portfolio
+
+        cheap = {"gbt_fast_shallow", "linear_standard"}
+        portfolio = tmp_path / "portfolio.json"
+        save_portfolio(
+            StrategyPortfolio(
+                strategies=[s for s in builtin_portfolio().strategies if s.id in cheap],
+                metadata={},
+            ),
+            portfolio,
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"portfolio_path": str(portfolio)}))
+        boards = []
+        for p in ("1", "2"):
+            out = tmp_path / f"p{p}"
+            code = main(
+                [
+                    "fit",
+                    "--input", str(multiclass_csv),
+                    "--target", "stage",
+                    "--output-dir", str(out),
+                    "--budget", "6",
+                    "--parallelism", p,
+                    "--seed", "5",
+                    "--config", str(config),
+                ]
+            )
+            assert code == EXIT_OK
+            boards.append((out / "leaderboard.json").read_bytes())
+        assert len(json.loads(boards[0])["entries"]) == 6
+        assert boards[1] == boards[0]
+
+
 class TestRerun:
     def test_verbatim_rerun_reproduces_the_run(self, fit_job, small_regression_csv, tmp_path):
         out = tmp_path / "again"

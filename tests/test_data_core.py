@@ -1,5 +1,8 @@
+import csv
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabular_automl.data_core import (
+    DEFAULT_MISSING_LITERALS,
     RawTable,
+    _read_csv_cells,
     detect_imbalance,
     drop_missing_target,
     infer_problem_type,
@@ -76,6 +81,81 @@ class TestLoadCsv:
         header, cells = load_feature_csv(write(tmp_path, "a,b\n1,\n"))
         assert header == ["a", "b"]
         assert cells == [["1", None]]
+
+
+def _reference_read_csv_cells(path, missing_literals):
+    """`data_core._read_csv_cells` as it was when it lowercased cell by cell."""
+    lowered = {m.lower() for m in missing_literals}
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            reader = csv.reader(f, strict=True)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyData(f"{path}: file is empty")
+            rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: {exc}") from exc
+    if not rows:
+        raise EmptyData(f"{path}: no data rows")
+
+    n_cols = len(header)
+    cells = []
+    for i, row in enumerate(rows):
+        if len(row) != n_cols:
+            raise MalformedCsv(f"{path}: row {i + 2} has {len(row)} fields, expected {n_cols}")
+        cells.append([None if c.lower() in lowered else c for c in row])
+    return header, cells
+
+
+def _outcome(read, path, literals):
+    try:
+        return read(path, literals)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_CELL_TEXT = st.one_of(
+    st.sampled_from(
+        ["", "na", "Na", "NA", "nA", "null", "NULL", "Null", "n/a", "N/A", "NaN", "nan",
+         " na", "?", "-", "Missing", "MISSING", "1.5", "x", "İ"]
+    ),
+    st.text(max_size=4),
+)
+_LITERAL_SETS = st.sampled_from(
+    [DEFAULT_MISSING_LITERALS, frozenset({"?", "-", "Missing"}), frozenset(), frozenset({"x"})]
+)
+
+
+class TestReadCsvCellsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_cols=st.integers(1, 4),
+        rows=st.lists(st.lists(_CELL_TEXT, min_size=1, max_size=5), min_size=1, max_size=8),
+        literals=_LITERAL_SETS,
+    )
+    def test_equals_reference(self, n_cols, rows, literals):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.csv"
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                csv.writer(f).writerows([[f"c{j}" for j in range(n_cols)]] + rows)
+            new = _outcome(_read_csv_cells, path, literals)
+            assert new == _outcome(_reference_read_csv_cells, path, literals)
+
+    def test_first_ragged_row_is_named(self, tmp_path):
+        path = write(tmp_path, "a,y\nNa,1\n3\n4,5,6\n")
+        with pytest.raises(MalformedCsv) as new:
+            _read_csv_cells(path, DEFAULT_MISSING_LITERALS)
+        with pytest.raises(MalformedCsv) as old:
+            _reference_read_csv_cells(path, DEFAULT_MISSING_LITERALS)
+        assert str(new.value) == str(old.value)
+        assert "row 3 has 1 fields, expected 2" in str(new.value)
+
+    def test_custom_literals_case_insensitive(self, tmp_path):
+        path = write(tmp_path, "a,b\n?,NA\nMISSING,Missing\nnull,x\n")
+        literals = frozenset({"?", "missing"})
+        assert _read_csv_cells(path, literals) == _reference_read_csv_cells(path, literals)
+        assert _read_csv_cells(path, literals)[1] == [[None, "NA"], [None, None], ["null", "x"]]
 
 
 class TestParseNumber:

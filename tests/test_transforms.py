@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabular_automl import transforms
-from tabular_automl.data_core import infer_problem_type
+from tabular_automl.data_core import infer_problem_type, parse_number
 from tabular_automl.errors import (
     ArityMismatch,
     ClampedInputWarning,
@@ -21,6 +22,50 @@ from tabular_automl.transforms import (
     encode_labels,
     fit,
 )
+
+
+def _reference_parsed(values):
+    """The per-cell parse `_filled` and `_numeric_column` used before `_parsed`."""
+    return np.array(
+        [x if (x := parse_number(v)) is not None else np.nan for v in values], dtype=float
+    )
+
+
+_NUMERIC_CELLS = st.one_of(
+    st.sampled_from(
+        [None, "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", " 1.5 ", "1_000",
+         "abc", "", "-0.0", "0", "2", "3e-2"]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=3),
+)
+
+
+class TestParsedOracle:
+    def test_named_cells(self):
+        values = [None, "nan", "inf", " 1.5 ", "1_000", "abc"]
+        expected = _reference_parsed(values)
+        assert np.where(np.isfinite(expected), expected, 7.0).tolist() == [
+            7.0, 7.0, 7.0, 1.5, 1000.0, 7.0
+        ]
+        assert transforms._filled(values, 7.0).tobytes() == np.where(
+            np.isfinite(expected), expected, 7.0).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_NUMERIC_CELLS, max_size=12), mean=st.floats(-1e6, 1e6))
+    def test_same_bits_as_per_cell_parse(self, values, mean):
+        expected = _reference_parsed(values)
+        finite = np.isfinite(expected)
+        assert transforms._filled(values, mean).tobytes() == np.where(
+            finite, expected, mean).tobytes()
+        parsed = transforms._parsed(values)
+        assert np.array_equal(np.isfinite(parsed), finite)
+        assert parsed[finite].tobytes() == expected[finite].tobytes()
+        if finite.any():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a sum past 1.8e308 warns on both sides
+                mean_of = transforms._numeric_column(values)[1], float(expected[finite].mean())
+            assert np.float64(mean_of[0]).tobytes() == np.float64(mean_of[1]).tobytes()
 
 
 def col_spec(kind, **params):

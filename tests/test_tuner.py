@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -310,6 +311,7 @@ class TestSuggestBo:
                 return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
             assert not scipy_loaded(), "scipy imported at module level"
+            assert "multiprocessing" not in sys.modules, "multiprocessing imported at module level"
             space = HpSpace(tunables=[HpDomain("x", "float", 0.0, 1.0)])
             history = [({"x": 0.1}, 0.9), ({"x": 0.5}, 0.4), ({"x": 0.9}, 0.7)]
             hp = suggest_bo(history, space, np.random.default_rng(0))
@@ -403,6 +405,73 @@ class TestEngine:
         board, state = run([arm], TunerConfig(total_budget=25, parallelism=5))
         assert state.issued == 25
         assert len(board.entries) == 25
+
+    def test_parallel_log_is_reproducible(self):
+        space = HpSpace(tunables=[HpDomain("x", "float", 0.0, 1.0)])
+
+        def lossy(t):
+            time.sleep(jitter.uniform(0, 0.01))  # completion order varies from run to run
+            return abs(t.hp["x"] - 0.6)
+
+        jitter = random.SystemRandom()
+
+        def play():
+            events = []
+            arms = [make_arm("a", lossy, space=space), make_arm("b", lossy, space=space)]
+            run(arms, TunerConfig(total_budget=24, parallelism=2, seed=4), log_sink=events.append)
+            return events
+
+        first = play()
+        assert sum(e["event"] == "finished" for e in first) == 24
+        assert first == play()
+
+    def test_dead_worker_fails_its_trial_and_run_completes(self):
+        def runner(trial, seed):
+            if trial.trial_id == 1:
+                os._exit(3)
+            return Loss(kind="rmse", value=0.5), {}
+
+        events = []
+        arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
+        board, state = run([arm], TunerConfig(total_budget=6, parallelism=2),
+                           log_sink=events.append)
+        assert state.issued == 6
+        assert state.trials[1].state == "failed"
+        assert "code 3" in state.trials[1].error
+        assert [e.trial_id for e in board.entries] == [0, 2, 3, 4, 5]
+        assert {"event": "failed", "trial": 1, "error": state.trials[1].error} in events
+
+    def test_parallel_leaderboard_carries_runner_payload(self):
+        def runner(trial, seed):
+            return Loss(kind="rmse", value=1.0 + trial.trial_id), {"model": f"m{trial.trial_id}"}
+
+        arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
+        board, state = run([arm], TunerConfig(total_budget=5, parallelism=2))
+        assert [e.extra for e in board.entries] == [{"model": f"m{k}"} for k in range(5)]
+        assert all(t.duration is not None for t in state.trials.values())
+
+    def test_deadline_kills_parallel_trials(self, tmp_path):
+        def sleeper(trial, seed):
+            (tmp_path / f"{os.getpid()}.pid").touch()
+            time.sleep(30)
+            return Loss(kind="rmse", value=0.1), {}
+
+        arms = [
+            make_arm("fast", lambda t: 0.5),
+            TunerArm(pipeline_id="sleeper", space=STATIC_SPACE, seeds=[], runner=sleeper),
+        ]
+        started = time.monotonic()
+        board, state = run(arms, TunerConfig(total_budget=20, parallelism=2, max_runtime=0.5))
+        assert time.monotonic() - started < 5
+        slept = [t for t in state.trials.values() if t.pipeline_id == "sleeper"]
+        assert slept and all(t.state == "failed" for t in slept)
+        assert all("TimeoutError" in t.error and "0.5 s" in t.error for t in slept)
+        assert all(e.pipeline_id == "fast" for e in board.entries)
+        pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_deadline_stops_early_but_keeps_results(self):
         def slow_runner(trial, seed):
