@@ -16,10 +16,13 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
   with the best model of each fit, and `analyze` and
   `predict` (with the `imb_fit` and the `baseline_gbt` models) on the
   100 000-row table;
-- a two-dataset `bench` (regression and multiclass), so the test-fold labels
-  of a classification dataset are encoded and scored;
+- a three-dataset `bench` (regression, multiclass and the 1 000-row binary
+  table), so the test-fold labels of a classification dataset are encoded
+  and scored, and the baseline is trained with class weights;
 - a `zeroshot` over the regression and multiclass tables with 7 configs, plus
-  the 1 000-row binary table with a `"problem_type": "regression"` override;
+  the 1 000-row binary table twice: as it is (imbalanced, so its cells are
+  trained with class weights) and with a `"problem_type": "regression"`
+  override;
 - `<step>.log` per command: its exit code, stdout and stderr.
 
 Commands run inside OUT on relative paths, and the logs name SRC as `<src>`
@@ -101,18 +104,18 @@ def _write_data(out: Path, env: dict) -> None:
     subprocess.run([sys.executable, "-c", code], cwd=out, env=env, check=True)
     regression = {"id": "regression", "path": "data/regression.csv", "target": "response"}
     multiclass = {"id": "multiclass", "path": "data/multiclass.csv", "target": "stage"}
+    churn = {"id": "churn", "path": "data/imbalanced.csv", "target": "churned"}
     bench = {
-        "datasets": [regression, multiclass],
+        "datasets": [regression, multiclass, churn],
         "output_dir": "bench",
         "budget": 10,
         "seed": 3,
         "parallelism": 1,
     }
     # The binary 0/1 target with a regression override must be scored as regression.
+    churn_as_regression = dict(churn, id="churn_as_regression", problem_type="regression")
     zeroshot = {
-        "datasets": [regression, multiclass, {"id": "churn_as_regression",
-                                              "path": "data/imbalanced.csv", "target": "churned",
-                                              "problem_type": "regression"}],
+        "datasets": [regression, multiclass, churn, churn_as_regression],
         "output_dir": "zeroshot",
         "k": 3,
         "max_configs": 7,

@@ -21,6 +21,7 @@ from ..strategy.builtin import GBT_SEEDS
 from ..transforms import encode_labels
 from . import artifacts
 from .job import JobConfig, analyze_table, load_trial_model, run_fit, split_table
+from .job import train_and_score
 
 TEST_FRACTION = 0.1
 BASELINE_HP = dict(GBT_SEEDS[0])  # subsample 1.0: seed-independent
@@ -75,20 +76,14 @@ def score_stored_model(job_dir, best: dict, test: RawTable, problem: ProblemType
 def baseline_loss(rest: RawTable, test: RawTable, cfg: JobConfig) -> Loss:
     """Degenerate pipeline on the engine's train fold, scored on the test fold.
 
-    Trained under the same protocol as engine candidates (`cfg` is the engine
-    job's): the same problem, and when it is imbalanced binary, the same
-    class weights.
+    Trained by `train_and_score` as engine candidates are, on the problem of
+    the engine job's `cfg`.
     """
     analysis = analyze_table(rest, cfg.seed, cfg.valid_fraction, cfg.problem_override)
     strategy = Strategy(id="bench_baseline", algorithm="gbt", seeds=[dict(BASELINE_HP)])
     d = realize(strategy, analysis.schema, analysis.profiles, analysis.mf, analysis.problem)
     prep = execute_preprocessing(d, analysis.train, test)
-    hp = d.space.clamp(BASELINE_HP)
-    weights = None
-    if analysis.imbalance is not None and analysis.imbalance.is_imbalanced:
-        weights = learners.class_weights(prep.y_train)
-    model = learners.train("gbt", prep.X_train, prep.y_train, hp, weights=weights, seed=cfg.seed)
-    return learners.evaluate(learners.predict(model, prep.X_valid), prep.y_valid, analysis.problem)
+    return train_and_score(d, prep, d.space.clamp(BASELINE_HP), analysis, cfg.seed)[1]
 
 
 def _run_one(ds: BenchDataset, jobs_dir: Path, job_args: dict) -> BenchResult:

@@ -16,13 +16,13 @@ from .. import learners
 from ..data_core import DEFAULT_VALID_FRACTION, load_csv, load_feature_csv
 from ..errors import AutomlError
 from ..strategy import apply_preprocessor, builtin_portfolio
+from ..strategy.core import save_portfolio
 from ..zeroshot import (
     DatasetHandle,
     ZeroShotConfig,
     build_performance_table,
     normalize,
     save_performance_table,
-    save_portfolio,
     select_portfolio_exact,
     select_portfolio_greedy,
     selection_to_portfolio,
@@ -201,6 +201,13 @@ def cmd_zeroshot(args) -> int:
         raise _UsageError(f"solver must be greedy or exact, got {solver!r}")
     seed = doc.get("seed", 0)
     valid_fraction = doc.get("valid_fraction", DEFAULT_VALID_FRACTION)
+    max_configs = doc.get("max_configs")
+    if max_configs is not None and max_configs < 1:
+        raise _UsageError(f"max_configs must be at least 1, got {max_configs}")
+    strategies = builtin_portfolio().strategies
+    configs = [ZeroShotConfig(s, dict(hp)) for s in strategies for hp in s.seeds][:max_configs]
+    if not 1 <= k <= len(configs):
+        raise _UsageError(f"k must be in [1, {len(configs)}] (the configs scored), got {k}")
 
     # Each dataset is split and analyzed as `fit` would do it.
     handles = [
@@ -215,12 +222,6 @@ def cmd_zeroshot(args) -> int:
         )
         for entry in doc["datasets"]
     ]
-
-    configs = []
-    for strategy in builtin_portfolio().strategies:
-        for hp in strategy.seeds:
-            configs.append(ZeroShotConfig(strategy=strategy, hp=dict(hp)))
-    configs = configs[: doc.get("max_configs")]
 
     table = normalize(build_performance_table(configs, handles, seed))
     select = select_portfolio_exact if solver == "exact" else select_portfolio_greedy

@@ -47,9 +47,9 @@ from ..strategy import (
     recommend_strategies,
     serialize_definitions,
 )
+from ..strategy.core import load_portfolio
 from ..tuner import Trial, TunerArm, TunerConfig
 from ..tuner import run as tuner_run
-from ..zeroshot import load_portfolio
 from . import artifacts
 
 
@@ -313,17 +313,25 @@ def load_trial_model(model_path) -> tuple[learners.Model, list, Optional[dict], 
     return learners.model_from_dict(doc["model"]), fitted, mapping, meta
 
 
-def _make_arm(
-    d: PipelineDefinition, prep, out: Path, problem: ProblemType, weights
-) -> TunerArm:
+def train_and_score(
+    d: PipelineDefinition, prep, hp: dict, analysis: Analysis, seed: int
+) -> tuple[learners.Model, learners.Loss]:
+    """The one training protocol of job trials, the bench baseline and zeroshot
+    cells: train on `prep`'s train fold, class-weighted when the problem is
+    imbalanced binary, and score on its valid fold. `hp` is used as given, since
+    clamping could move a tuner point that sits one ulp past a bound."""
+    imbalanced = analysis.imbalance is not None and analysis.imbalance.is_imbalanced
+    weights = learners.class_weights(prep.y_train) if imbalanced else None
+    model = learners.train(d.algorithm, prep.X_train, prep.y_train, hp, weights=weights, seed=seed)
+    preds = learners.predict(model, prep.X_valid)
+    return model, learners.evaluate(preds, prep.y_valid, analysis.problem)
+
+
+def _make_arm(d: PipelineDefinition, prep, out: Path, analysis: Analysis) -> TunerArm:
     pid = d.pipeline_id
 
     def runner(trial: Trial, seed: int):
-        model = learners.train(
-            d.algorithm, prep.X_train, prep.y_train, trial.hp, weights=weights, seed=seed
-        )
-        preds = learners.predict(model, prep.X_valid)
-        loss = learners.evaluate(preds, prep.y_valid, problem)
+        model, loss = train_and_score(d, prep, trial.hp, analysis, seed)
         model_rel = f"models/trial_{trial.trial_id}.json"
         artifacts.dump_json(
             {
@@ -363,10 +371,7 @@ def _fit(job: _Job) -> None:
             preprocessor_to_dict(d, prep.fitted, prep.label_mapping),
             out / "models" / f"{d.pipeline_id}.preprocessor.json",
         )
-        weights = None
-        if analysis.imbalance is not None and analysis.imbalance.is_imbalanced:
-            weights = learners.class_weights(prep.y_train)
-        arms.append(_make_arm(d, prep, out, analysis.problem, weights))
+        arms.append(_make_arm(d, prep, out, analysis))
     report.timings["preprocess_s"] = time.monotonic() - started
 
     if not arms:

@@ -7,7 +7,9 @@ substitutes every symbol and pins columns, yielding a PipelineDefinition.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 from ..data_core import ColumnProfile, MetaFeatures, ProblemType
@@ -132,6 +134,22 @@ def strategy_from_dict(d: dict) -> Strategy:
         rules=rules,
         bindings=dict(d.get("bindings", DEFAULT_BINDINGS)),
         seeds=[dict(seed) for seed in d.get("seeds", [])],
+    )
+
+
+def save_portfolio(portfolio: StrategyPortfolio, path) -> None:
+    doc = {
+        "metadata": portfolio.metadata,
+        "strategies": [strategy_to_dict(s) for s in portfolio.strategies],
+    }
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def load_portfolio(path) -> StrategyPortfolio:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return StrategyPortfolio(
+        strategies=[strategy_from_dict(s) for s in doc["strategies"]],
+        metadata=doc.get("metadata", {}),
     )
 
 

@@ -13,12 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import learners
 from .errors import TooLarge
+from .orchestrator.job import Analysis, train_and_score
 from .strategy import (
     Strategy,
     StrategyPortfolio,
@@ -26,10 +26,8 @@ from .strategy import (
     is_applicable,
     realize,
 )
+from .strategy.core import load_portfolio, save_portfolio  # noqa: F401 (re-exported)
 from .strategy.core import strategy_from_dict, strategy_to_dict
-
-if TYPE_CHECKING:  # job imports this module
-    from .orchestrator.job import Analysis
 
 FAILURE_PENALTY = 1.5
 EXACT_GUARD = 10**6
@@ -79,10 +77,7 @@ def _evaluate_cell(config: ZeroShotConfig, handle: DatasetHandle, seed: int) -> 
         raise ValueError(f"strategy {config.strategy.id} not applicable to {handle.id}")
     definition = realize(config.strategy, a.schema, a.profiles, a.mf, a.problem)
     prep = execute_preprocessing(definition, a.train, a.valid)
-    hp = definition.space.clamp(config.hp)
-    model = learners.train(definition.algorithm, prep.X_train, prep.y_train, hp, seed=seed)
-    preds = learners.predict(model, prep.X_valid)
-    return learners.evaluate(preds, prep.y_valid, a.problem).value
+    return train_and_score(definition, prep, definition.space.clamp(config.hp), a, seed)[1].value
 
 
 def build_performance_table(
@@ -256,18 +251,3 @@ def load_performance_table(csv_path) -> PerformanceTable:
         normalization=sidecar["normalization"],
     )
 
-
-def save_portfolio(portfolio: StrategyPortfolio, path) -> None:
-    doc = {
-        "metadata": portfolio.metadata,
-        "strategies": [strategy_to_dict(s) for s in portfolio.strategies],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_portfolio(path) -> StrategyPortfolio:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return StrategyPortfolio(
-        strategies=[strategy_from_dict(s) for s in doc["strategies"]],
-        metadata=doc.get("metadata", {}),
-    )

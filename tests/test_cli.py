@@ -621,6 +621,25 @@ class TestZeroShotCommand:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"k": 0}, {"k": 60}, {"max_configs": 0}, {"max_configs": -6},
+         {"k": 3, "max_configs": 2}],
+        ids=["k_0", "k_past_pool", "max_configs_0", "max_configs_negative", "k_past_cut"],
+    )
+    def test_out_of_range_k_or_max_configs_is_usage_error_before_any_read(
+        self, tmp_path, capsys, bounds
+    ):
+        # The dataset does not exist: reading it first would exit 2, not 1.
+        out = tmp_path / "zs"
+        dataset = {"id": "missing", "path": str(tmp_path / "missing.csv"), "target": "y"}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"datasets": [dataset], "output_dir": str(out)} | bounds))
+        assert main(["zeroshot", "--config", str(manifest)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "k must be in [1, " in err or "max_configs must be at least 1" in err
+        assert not out.exists()
+
     def test_problem_type_override_is_scored_as_fit_would(
         self, tmp_path, int_target_csv, monkeypatch
     ):

@@ -1,10 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tabular_automl.data_core import RawTable
+import tabular_automl
+from tabular_automl.data_core import DEFAULT_VALID_FRACTION, RawTable, load_csv
 from tabular_automl.errors import TooLarge
-from tabular_automl.orchestrator.job import analyze_table
-from tabular_automl.strategy import builtin_portfolio
+from tabular_automl.orchestrator.job import JobConfig, analyze_table, run_rerun
+from tabular_automl.strategy import builtin_portfolio, realize, serialize_definitions
+from tabular_automl.synth import make_imbalanced_csv
 from tabular_automl.zeroshot import (
     DatasetHandle,
     PerformanceTable,
@@ -163,6 +171,49 @@ class TestBuildTable:
         assert P.losses.shape == (2, 2)
         assert np.isfinite(P.losses).all()
         assert (P.losses >= 0).all()
+
+
+class TestTrainingProtocol:
+    def test_cell_equals_a_one_trial_rerun_on_an_imbalanced_table(self, tmp_path):
+        # 300 rows with 17% positives: `fit` trains this problem class-weighted.
+        path = str(tmp_path / "churn.csv")
+        make_imbalanced_csv(path, n_rows=300, seed=3)
+        analysis = analyze_table(load_csv(path, "churned"), 0, DEFAULT_VALID_FRACTION)
+        assert analysis.imbalance.is_imbalanced
+        strategy = next(s for s in builtin_portfolio().strategies if s.id == "gbt_fast_shallow")
+        hp = dict(strategy.seeds[2])
+        assert hp["subsample"] == 1.0  # the trial seed cannot change the model
+        P = build_performance_table(
+            [ZeroShotConfig(strategy, hp)], [DatasetHandle("churn", analysis)], seed=0
+        )
+
+        d = realize(strategy, analysis.schema, analysis.profiles, analysis.mf, analysis.problem)
+        d.seeds = [hp]
+        serialize_definitions([d], tmp_path / "defs")
+        cfg = JobConfig(input_path=path, target="churned", output_dir=str(tmp_path / "job"),
+                        budget=1, seed=0)
+        report = run_rerun(cfg, tmp_path / "defs")
+        assert report.status == "completed", report.message
+        trial = json.loads((tmp_path / "job" / report.best["model"]).read_text())
+        assert trial["hp"] == d.space.clamp(hp)
+        assert P.losses[0, 0] == trial["valid_loss"]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import tabular_automl.zeroshot",
+        "import sys, tabular_automl.orchestrator.job\n"
+        "assert 'tabular_automl.zeroshot' not in sys.modules, 'job imports zeroshot'",
+    ],
+    ids=["zeroshot_alone", "job_without_zeroshot"],
+)
+def test_import_direction(script):
+    # A fresh interpreter: this test process has every module loaded already.
+    src = str(Path(tabular_automl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTableValidation:
