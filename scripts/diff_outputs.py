@@ -28,12 +28,16 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
 Commands run inside OUT on relative paths, and the logs name SRC as `<src>`
 without line numbers, so runs from two checkouts can be compared file by file.
 
-The second form runs `diff -r -x report.json A B` and compares every
-`report.json` with its `timings` values removed (the keys must match). It
-exits 0 when nothing differs.
+The second form compares A and B file by file. It prints a `diff` of every
+pair that differs in bytes; for a `.json` pair it prints instead whether both
+parse to the same value (a re-encoding such as compact model files shows as
+"same value"). Every `report.json` is compared with its `timings` values
+removed (the keys must match). It exits 0 only when no file differs in bytes,
+whatever the parsed values.
 """
 from __future__ import annotations
 
+import filecmp
 import json
 import os
 import re
@@ -151,19 +155,37 @@ def _without_timing_values(path: Path) -> dict:
     return doc
 
 
+def _same_value(x: Path, y: Path) -> bool:
+    try:
+        return json.loads(x.read_bytes()) == json.loads(y.read_bytes())
+    except ValueError:
+        return False
+
+
 def compare(a: Path, b: Path) -> int:
-    differs = subprocess.run(["diff", "-r", "-x", "report.json", str(a), str(b)]).returncode != 0
-    reports_a = sorted(p.relative_to(a) for p in a.rglob("report.json"))
-    reports_b = sorted(p.relative_to(b) for p in b.rglob("report.json"))
-    if reports_a != reports_b:
-        print(f"report.json sets differ: {sorted(set(reports_a) ^ set(reports_b))}")
-        differs = True
-    for rel in reports_a:
-        if rel in reports_b and _without_timing_values(a / rel) != _without_timing_values(b / rel):
-            print(f"{rel} differs outside its timing values")
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    for rel in sorted(files_a ^ files_b):
+        print(f"only in {a if rel in files_a else b}: {rel}")
+    differs, same_value = bool(files_a ^ files_b), 0
+    for rel in sorted(files_a & files_b):
+        if rel.name == "report.json":
+            if _without_timing_values(a / rel) != _without_timing_values(b / rel):
+                print(f"{rel} differs outside its timing values")
+                differs = True
+        elif not filecmp.cmp(a / rel, b / rel, shallow=False):
             differs = True
-    n_files = sum(1 for p in a.rglob("*") if p.is_file())
-    print(f"{n_files} files, {len(reports_a)} report.json: {'DIFFER' if differs else 'identical'}")
+            if rel.suffix != ".json":
+                print(f"diff {rel}", flush=True)
+                subprocess.run(["diff", str(a / rel), str(b / rel)])
+            elif _same_value(a / rel, b / rel):
+                same_value += 1
+                print(f"{rel} differs in bytes, same value")
+            else:
+                print(f"{rel} differs in bytes, DIFFERENT value or does not parse")
+    n_reports = sum(1 for rel in files_a if rel.name == "report.json")
+    print(f"{len(files_a)} files, {n_reports} report.json: {'DIFFER' if differs else 'identical'}"
+          f" ({same_value} .json differ in bytes only)")
     return 1 if differs else 0
 
 

@@ -2,11 +2,16 @@
 
 Everything here is deterministic given its inputs (sorted keys, repr
 floats, no timestamps) so seeded reruns can be compared byte-for-byte.
+JSON, fold and matrix files are written whole or not at all: a writer that
+is killed or raises leaves the target as it was (at worst a stray
+`.<name>.<pid>.tmp` beside it after a kill), never a truncated file.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from pathlib import Path
 from typing import Optional
 
@@ -24,10 +29,30 @@ def ensure_layout(output_dir) -> Path:
     return out
 
 
-def dump_json(obj, path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """A text file to write in place of `path`: a temp file in its directory,
+    moved onto `path` when the block ends and removed if the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def dump_json(obj, path, compact=False) -> None:
+    """Sorted-key JSON: one line with the C encoder when `compact`, for
+    models; `indent=2` otherwise, for documents people read."""
+    if compact:
+        text = json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    else:
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    with _replacing(path) as f:
+        f.write(text + "\n")
 
 
 def load_json(path):
@@ -35,7 +60,7 @@ def load_json(path):
 
 
 def write_fold_csv(t: RawTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _replacing(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(t.column_names)
         for row in t.cells:
@@ -43,7 +68,7 @@ def write_fold_csv(t: RawTable, path) -> None:
 
 
 def write_matrix_csv(X: np.ndarray, y: np.ndarray, target_name: str, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _replacing(path, newline="") as f:
         w = csv.writer(f)
         w.writerow([f"f{j}" for j in range(X.shape[1])] + [target_name])
         for i in range(X.shape[0]):

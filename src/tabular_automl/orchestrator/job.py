@@ -343,6 +343,7 @@ def _make_arm(d: PipelineDefinition, prep, out: Path, analysis: Analysis) -> Tun
                 "loss_kind": loss.kind,
             },
             out / model_rel,
+            compact=True,
         )
         return loss, {"model": model_rel, "preprocessor": f"models/{pid}.preprocessor.json"}
 

@@ -260,6 +260,48 @@ class TestFitArtifacts:
         assert (fit_job / "transformed" / pid / "valid.csv").exists()
 
 
+class TestArtifactFormat:
+    """Models are one line of compact sorted-key JSON; documents people read
+    stay indented; a seed fixes every byte."""
+
+    def test_models_are_compact_single_lines(self, fit_job):
+        paths = sorted((fit_job / "models").glob("trial_*.json"))
+        assert paths
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            doc = json.loads(text)
+            assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+    def test_documents_stay_indented(self, fit_job):
+        paths = [fit_job / "leaderboard.json", fit_job / "report" / "report.json"]
+        paths += sorted((fit_job / "models").glob("*.preprocessor.json"))
+        assert len(paths) > 2
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_same_seed_gives_byte_identical_models(self, fit_job, small_regression_csv, tmp_path):
+        out = tmp_path / "again"
+        code = main(
+            [
+                "fit",
+                "--input", str(small_regression_csv),
+                "--target", "response",
+                "--output-dir", str(out),
+                "--budget", "10",
+                "--parallelism", "1",
+                "--seed", "3",
+            ]
+        )
+        assert code == EXIT_OK
+        names = sorted(p.name for p in (fit_job / "models").iterdir())
+        assert sorted(p.name for p in (out / "models").iterdir()) == names
+        for name in names:
+            assert (out / "models" / name).read_bytes() == (
+                fit_job / "models" / name
+            ).read_bytes()
+
+
 class TestConfigMerging:
     def test_flag_beats_config_file(self, tmp_path, small_regression_csv):
         cfg = tmp_path / "cfg.json"

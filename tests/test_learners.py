@@ -22,6 +22,7 @@ from tabular_automl.learners import (
 )
 from tabular_automl.learners.gbt import _apply_tree
 from tabular_automl.learners.linear import loss_and_grad
+from tabular_automl.orchestrator import artifacts
 
 REGRESSION = ProblemType(kind="regression")
 BINARY = ProblemType(kind="binary_classification", n_classes=2)
@@ -180,6 +181,46 @@ class TestLinear:
         model = train("linear", X, y, linear_hp(link="logistic", epochs=10))
         clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert np.array_equal(predict(model, X), predict(clone, X))
+
+
+class TestCompactModelEncoding:
+    """Oracle for the compact model artifact: the compact and the `indent=2`
+    encodings parse to equal dicts, and a model loaded from the compact text
+    predicts bit-identically to the model in memory."""
+
+    @pytest.mark.parametrize(
+        "algorithm, hp, n_classes",
+        [
+            ("gbt", gbt_hp(n_trees=12, max_depth=4), None),
+            ("gbt", gbt_hp(loss="logistic", n_trees=12, subsample=0.7), 2),
+            ("gbt", gbt_hp(loss="softmax_ovr", n_trees=8, min_child_rows=3), 3),
+            ("linear", linear_hp(epochs=20), None),
+            ("linear", linear_hp(link="logistic", epochs=20), 2),
+            ("linear", linear_hp(link="softmax", epochs=20), 3),
+        ],
+    )
+    def test_compact_text_is_the_same_model(self, tmp_path, algorithm, hp, n_classes):
+        rng = np.random.default_rng(12)
+        # Wide column scales give long float reprs; the linear learner needs
+        # standardized columns to converge.
+        scale = np.array([1.0, 1e-7, 3e5]) if algorithm == "gbt" else 1.0
+        X = rng.normal(size=(120, 3)) * scale
+        if n_classes is None:
+            y = X[:, 0] * 1.7 + rng.normal(size=120) / 3.0
+        else:
+            y = np.digitize(X[:, 0] + rng.normal(size=120) / 2.0, [-0.4, 0.4][: n_classes - 1])
+        model = train(algorithm, X, y, hp, seed=5)
+        doc = {"model": model_to_dict(model), "hp": hp, "valid_loss": 0.1 + 0.2}
+        artifacts.dump_json(doc, tmp_path / "compact.json", compact=True)
+        artifacts.dump_json(doc, tmp_path / "indented.json")
+        compact = (tmp_path / "compact.json").read_text(encoding="utf-8")
+        indented = (tmp_path / "indented.json").read_text(encoding="utf-8")
+        assert compact.count("\n") == 1 and len(compact) < len(indented)
+        assert json.loads(compact) == json.loads(indented)
+        clone = model_from_dict(json.loads(compact)["model"])
+        X_new = rng.normal(size=(200, 3)) * scale
+        for rows in (X, X_new):
+            assert predict(clone, rows).tobytes() == predict(model, rows).tobytes()
 
 
 class TestGradients:
