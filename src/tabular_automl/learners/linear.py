@@ -55,6 +55,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _residual(w, b, X, y, link, weights):
+    """Link output and weighted residual (output - target) * row weight."""
+    if link == "identity":
+        pred = X @ w + b[0]
+        return pred, (pred - y) * weights
+    if link == "logistic":
+        p = _sigmoid(X @ w + b[0])
+        p = np.clip(p, 1e-12, 1 - 1e-12)
+        return p, (p - y) * weights
+    if link == "softmax":
+        P = _softmax(X @ w + b[None, :])
+        P = np.clip(P, 1e-12, 1.0)
+        onehot = np.zeros(P.shape)
+        onehot[np.arange(len(y)), y.astype(int)] = 1.0
+        return P, (P - onehot) * weights[:, None]
+    raise ValueError(f"unknown link {link!r}")
+
+
+def _grad(w, X, resid, l2, wsum):
+    """Gradients in w and b; the bias one is a scalar for the one-output links."""
+    return X.T @ resid / wsum + l2 * w, resid.sum(axis=0) / wsum
+
+
 def loss_and_grad(
     w: np.ndarray,
     b: np.ndarray,
@@ -67,39 +90,20 @@ def loss_and_grad(
     """Mean per-row loss plus L2 penalty, with gradients in (w, b).
 
     Exposed separately so the gradient can be checked against finite
-    differences.
+    differences; training steps compute the same gradient without the loss.
     """
-    n = len(y)
     wsum = weights.sum()
+    out, resid = _residual(w, b, X, y, link, weights)
     if link == "identity":
-        pred = X @ w + b[0]
-        resid = (pred - y) * weights
-        loss = 0.5 * float(resid @ (pred - y)) / wsum + 0.5 * l2 * float(w @ w)
-        gw = X.T @ resid / wsum + l2 * w
-        gb = np.array([resid.sum() / wsum])
-        return loss, gw, gb
-    if link == "logistic":
-        p = _sigmoid(X @ w + b[0])
-        p = np.clip(p, 1e-12, 1 - 1e-12)
-        loss = -float(np.sum(weights * (y * np.log(p) + (1 - y) * np.log(1 - p)))) / wsum
+        loss = 0.5 * float(resid @ (out - y)) / wsum + 0.5 * l2 * float(w @ w)
+    elif link == "logistic":
+        loss = -float(np.sum(weights * (y * np.log(out) + (1 - y) * np.log(1 - out)))) / wsum
         loss += 0.5 * l2 * float(w @ w)
-        resid = (p - y) * weights
-        gw = X.T @ resid / wsum + l2 * w
-        gb = np.array([resid.sum() / wsum])
-        return loss, gw, gb
-    if link == "softmax":
-        K = w.shape[1]
-        P = _softmax(X @ w + b[None, :])
-        P = np.clip(P, 1e-12, 1.0)
-        onehot = np.zeros((n, K))
-        onehot[np.arange(n), y.astype(int)] = 1.0
-        loss = -float(np.sum(weights * np.log(P[np.arange(n), y.astype(int)]))) / wsum
+    else:
+        loss = -float(np.sum(weights * np.log(out[np.arange(len(y)), y.astype(int)]))) / wsum
         loss += 0.5 * l2 * float(np.sum(w * w))
-        resid = (P - onehot) * weights[:, None]
-        gw = X.T @ resid / wsum + l2 * w
-        gb = resid.sum(axis=0) / wsum
-        return loss, gw, gb
-    raise ValueError(f"unknown link {link!r}")
+    gw, gb = _grad(w, X, resid, l2, wsum)
+    return loss, gw, np.reshape(gb, b.shape)
 
 
 def train_linear(
@@ -142,14 +146,16 @@ def train_linear(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     for _ in range(epochs):
         order = rng.permutation(n)
+        Xe, ye, we = X[order], yf[order], weights[order]
         for start in range(0, n, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            _, gw, gb = loss_and_grad(w, b, X[idx], yf[idx], link, l2, weights[idx])
+            rows = slice(start, start + BATCH_SIZE)
+            _, resid = _residual(w, b, Xe[rows], ye[rows], link, we[rows])
+            gw, gb = _grad(w, Xe[rows], resid, l2, we[rows].sum())
             w = w - lr * gw
             b = b - lr * gb
-
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-        raise NonFiniteInput("training diverged to non-finite weights")
+        # inf and NaN weights never turn finite again: stop at the first such epoch
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise NonFiniteInput("training diverged to non-finite weights")
     return LinearModel(link=link, n_features=d, n_classes=n_classes, weights=w, bias=b)
 
 

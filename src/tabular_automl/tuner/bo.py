@@ -35,16 +35,23 @@ _LENGTH_BOUNDS = (math.log(1e-2), math.log(1e2))
 _NOISE_BOUNDS = (math.log(1e-6), math.log(1.0))
 
 
-def _scaled_dists(X1: np.ndarray, X2: np.ndarray, lengths: np.ndarray):
+def _pairwise_diff(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """(n1, n2, d) differences X1[i] - X2[j]; the length-scales divide them later."""
+    return X1[:, None, :] - X2[None, :, :]
+
+
+def _scaled_dists(diff: np.ndarray, lengths: np.ndarray):
     """Pairwise r and per-dimension squared scaled differences d_i^2."""
-    diff = (X1[:, None, :] - X2[None, :, :]) / lengths
-    sq = diff**2
+    sq = (diff / lengths) ** 2
     r = np.sqrt(np.maximum(sq.sum(axis=2), 0.0))
     return r, sq
 
 
-def _matern52(r: np.ndarray, signal_var: float) -> np.ndarray:
-    return signal_var * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * np.exp(-SQRT5 * r)
+def _matern52(r: np.ndarray, signal_var: float, e: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matern-5/2 kernel at distances r; e is exp(-sqrt5 r) if the caller has it already."""
+    if e is None:
+        e = np.exp(-SQRT5 * r)
+    return signal_var * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * e
 
 
 def _unpack(theta: np.ndarray, d: int):
@@ -54,28 +61,51 @@ def _unpack(theta: np.ndarray, d: int):
     return signal_var, lengths, noise_var
 
 
-def _neg_lml_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray):
-    from scipy.linalg import cho_solve, cholesky
+def _cholesky(K: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of K, or None when K is not positive definite.
 
-    n, d = X.shape
+    Calls LAPACK directly: K is finite whenever theta and the history are
+    (suggest_bo fits finite losses only), so scipy.linalg's finiteness check
+    and batching wrapper are only overhead.
+    """
+    from scipy.linalg.lapack import dpotrf
+
+    L, info = dpotrf(K, lower=1, clean=1)
+    return None if info > 0 else L
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    from scipy.linalg.lapack import dpotrs
+
+    x, _ = dpotrs(L, b, lower=1)
+    return x
+
+
+def _neg_lml_and_grad(theta: np.ndarray, diff: np.ndarray, y: np.ndarray, eye: np.ndarray):
+    """Negative log marginal likelihood and its gradient in theta.
+
+    diff is _pairwise_diff(X, X) and eye the (n, n) identity; both depend on
+    X only, so a fit builds them once for all its evaluations.
+    """
+    n, _, d = diff.shape
     signal_var, lengths, noise_var = _unpack(theta, d)
-    r, sq = _scaled_dists(X, X, lengths)
-    K_f = _matern52(r, signal_var)
-    K = K_f + (noise_var + JITTER) * np.eye(n)
-    try:
-        L = cholesky(K, lower=True)
-    except np.linalg.LinAlgError:
+    r, sq = _scaled_dists(diff, lengths)
+    e = np.exp(-SQRT5 * r)
+    K_f = _matern52(r, signal_var, e)
+    K = K_f + (noise_var + JITTER) * eye
+    L = _cholesky(K)
+    if L is None:
         return 1e25, np.zeros_like(theta)
-    alpha = cho_solve((L, True), y)
+    alpha = _cho_solve(L, y)
     lml = -0.5 * float(y @ alpha) - float(np.log(np.diag(L)).sum()) - 0.5 * n * math.log(2 * math.pi)
 
-    K_inv = cho_solve((L, True), np.eye(n))
+    K_inv = _cho_solve(L, eye)
     M = np.outer(alpha, alpha) - K_inv  # dLML/dtheta_j = 0.5 tr(M dK/dtheta_j)
 
     grad = np.zeros_like(theta)
     grad[0] = 0.5 * float((M * (2.0 * K_f)).sum())
     # dK/dlog l_i = (5/3) sigma_f^2 (1 + sqrt5 r) exp(-sqrt5 r) d_i^2
-    base = (5.0 / 3.0) * signal_var * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
+    base = (5.0 / 3.0) * signal_var * (1.0 + SQRT5 * r) * e
     for i in range(d):
         grad[1 + i] = 0.5 * float((M * (base * sq[:, :, i])).sum())
     grad[1 + d] = 0.5 * float(np.trace(M) * 2.0 * noise_var)
@@ -91,7 +121,6 @@ class GaussianProcess:
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "GaussianProcess":
         from scipy import optimize
-        from scipy.linalg import cho_solve, cholesky
 
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -101,12 +130,13 @@ class GaussianProcess:
         for _ in range(N_RESTARTS - 1):
             starts.append(np.array([lo + rng.random() * (hi - lo) for lo, hi in bounds]))
 
+        diff, eye = _pairwise_diff(X, X), np.eye(n)
         best_val, best_theta = math.inf, starts[0]
         for theta0 in starts:
             res = optimize.minimize(
                 _neg_lml_and_grad,
                 theta0,
-                args=(X, y),
+                args=(diff, y, eye),
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
@@ -118,23 +148,25 @@ class GaussianProcess:
         self.y = y
         self.theta = best_theta
         signal_var, lengths, noise_var = _unpack(best_theta, d)
-        r, _ = _scaled_dists(X, X, lengths)
-        K = _matern52(r, signal_var) + (noise_var + JITTER) * np.eye(n)
-        self._L = cholesky(K, lower=True)
-        self._alpha = cho_solve((self._L, True), y)
+        r, _ = _scaled_dists(diff, lengths)
+        K = _matern52(r, signal_var) + (noise_var + JITTER) * eye
+        self._L = _cholesky(K)
+        if self._L is None:
+            raise np.linalg.LinAlgError("GP kernel matrix is not positive definite")
+        self._alpha = _cho_solve(self._L, y)
         self._lengths = lengths
         self._signal_var = signal_var
         return self
 
     def predict(self, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation of the latent function."""
-        from scipy.linalg import solve_triangular
+        from scipy.linalg.lapack import dtrtrs
 
         X_new = np.asarray(X_new, dtype=float)
-        r, _ = _scaled_dists(X_new, self.X, self._lengths)
+        r, _ = _scaled_dists(_pairwise_diff(X_new, self.X), self._lengths)
         K_star = _matern52(r, self._signal_var)
         mu = K_star @ self._alpha
-        v = solve_triangular(self._L, K_star.T, lower=True)
+        v, _ = dtrtrs(self._L, K_star.T, lower=1)
         var = self._signal_var - (v**2).sum(axis=0)
         return mu, np.sqrt(np.maximum(var, 0.0))
 
@@ -160,16 +192,19 @@ def expected_improvement(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.n
 def suggest_bo(history: list[tuple[dict, float]], space: HpSpace, rng: np.random.Generator) -> dict:
     """Suggest the next config by maximizing EI under a GP surrogate.
 
-    history: (config, loss) pairs of finished trials for one pipeline.
-    Raises DegenerateHistory when the losses carry no signal.
+    history: (config, loss) pairs of finished trials for one pipeline. The
+    surrogate fits the finite losses only: a finished trial can score inf
+    (finite weights that overflow on the valid fold). Raises
+    DegenerateHistory when the finite losses carry no signal.
     """
     if not space.tunables:
         return dict(space.statics)
-    if len(history) < 2:
-        raise DegenerateHistory("not enough finished trials for a surrogate")
+    finite = [(cfg, loss) for cfg, loss in history if math.isfinite(loss)]
+    if len(finite) < 2:
+        raise DegenerateHistory("not enough finished trials with a finite loss for a surrogate")
 
-    X = np.array([space.to_unit(cfg) for cfg, _ in history])
-    y_raw = np.array([loss for _, loss in history], dtype=float)
+    X = np.array([space.to_unit(cfg) for cfg, _ in finite])
+    y_raw = np.array([loss for _, loss in finite], dtype=float)
     y_std = float(y_raw.std())
     if y_std < 1e-12:
         raise DegenerateHistory("all observed losses identical")

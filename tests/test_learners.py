@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from tabular_automl.data_core import ProblemType
-from tabular_automl.errors import ArityMismatch, SingleClass
+from tabular_automl.errors import ArityMismatch, NonFiniteInput, SingleClass
 from tabular_automl.learners import (
     HpDomain,
     HpSpace,
@@ -21,6 +21,7 @@ from tabular_automl.learners import (
     train,
 )
 from tabular_automl.learners.gbt import _apply_tree
+from tabular_automl.learners import linear
 from tabular_automl.learners.linear import loss_and_grad
 from tabular_automl.orchestrator import artifacts
 
@@ -181,6 +182,29 @@ class TestLinear:
         model = train("linear", X, y, linear_hp(link="logistic", epochs=10))
         clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert np.array_equal(predict(model, X), predict(clone, X))
+
+    def test_divergence_stops_at_the_first_non_finite_epoch(self, monkeypatch):
+        # l2 10 with learning rate 1 overflows within a few epochs; no step
+        # runs after the epoch whose weights first turn non-finite.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(300, 4))
+        y = X @ np.array([1.0, -2.0, 0.5, 3.0])
+        steps, weights_after = [], []
+        grad = linear._grad
+
+        def counting_grad(w, *args):
+            steps.append(1)
+            out = grad(w, *args)
+            weights_after.append(np.isfinite(w - out[0]).all())
+            return out
+
+        monkeypatch.setattr(linear, "_grad", counting_grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteInput, match="diverged"):
+                train("linear", X, y, linear_hp(l2=10.0, learning_rate=1.0, epochs=10_000))
+        batches = -(-len(y) // linear.BATCH_SIZE)
+        first_bad_epoch = weights_after.index(False) // batches
+        assert len(steps) == (first_bad_epoch + 1) * batches
 
 
 class TestCompactModelEncoding:

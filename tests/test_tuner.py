@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -35,6 +36,7 @@ from tabular_automl.tuner import (
     suggest_bo,
     trial_seed,
 )
+from tabular_automl.tuner import bo
 from tabular_automl.tuner.bandit import QUARANTINE_AFTER
 
 STATIC_SPACE = HpSpace(statics={"c": 1})
@@ -297,6 +299,25 @@ class TestSuggestBo:
     def test_statics_pass_through(self):
         assert suggest_bo([], STATIC_SPACE, np.random.default_rng(0)) == {"c": 1}
 
+    def test_non_finite_losses_are_left_out_of_the_surrogate(self):
+        history = [({"x": 0.1 * i}, float(i)) for i in range(5)]
+        for bad in (float("inf"), float("nan")):
+            hp = suggest_bo(history + [({"x": 0.55}, bad)], self.SPACE, np.random.default_rng(0))
+            assert hp == suggest_bo(history, self.SPACE, np.random.default_rng(0))
+
+    def test_non_finite_configs_still_count_as_seen(self):
+        space = HpSpace(tunables=[HpDomain("n", "int", 1, 3)])
+        history = [({"n": 1}, 0.9), ({"n": 3}, 0.1), ({"n": 2}, float("inf"))]
+        hp = suggest_bo(history, space, np.random.default_rng(0))
+        # every config is seen, so the top candidate comes back whatever it is
+        assert space.contains(hp)
+        assert suggest_bo(history[:2], space, np.random.default_rng(0)) == {"n": 2}
+
+    def test_fewer_than_two_finite_losses_rejected(self):
+        history = [({"x": 0.2}, 1.0), ({"x": 0.4}, float("inf")), ({"x": 0.6}, float("nan"))]
+        with pytest.raises(DegenerateHistory):
+            suggest_bo(history, self.SPACE, np.random.default_rng(0))
+
     def test_scipy_loads_only_when_the_surrogate_runs(self):
         # A fresh interpreter: this test process has scipy loaded already.
         script = textwrap.dedent(
@@ -326,6 +347,32 @@ class TestSuggestBo:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestGpGradient:
+    # Signal std in [1/e, e], length-scales in [0.1, 2] and noise std in
+    # [0.01, 1]: inside the fit's bounds, where the kernel matrix is well
+    # enough conditioned for central differences to agree to 1e-4.
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_finite_differences(self, d):
+        rng = np.random.default_rng(40 + d)
+        box = [(-1.0, 1.0)] + [(math.log(0.1), math.log(2.0))] * d + [(math.log(1e-2), 0.0)]
+        bounds = [bo._SIGNAL_BOUNDS] + [bo._LENGTH_BOUNDS] * d + [bo._NOISE_BOUNDS]
+        assert all(blo <= lo and hi <= bhi for (lo, hi), (blo, bhi) in zip(box, bounds))
+        for _ in range(10):
+            n = int(rng.integers(3, 25))
+            X = rng.random((n, d))
+            y = rng.normal(size=n)
+            theta = np.array([lo + rng.random() * (hi - lo) for lo, hi in box])
+            args = (bo._pairwise_diff(X, X), y, np.eye(n))
+            _, grad = bo._neg_lml_and_grad(theta, *args)
+            eps = 1e-5
+            for j in range(len(theta)):
+                tp, tm = theta.copy(), theta.copy()
+                tp[j] += eps
+                tm[j] -= eps
+                fd = (bo._neg_lml_and_grad(tp, *args)[0] - bo._neg_lml_and_grad(tm, *args)[0]) / (2 * eps)
+                assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def make_arm(pid, fn, seeds=(), space=None):
