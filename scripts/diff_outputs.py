@@ -23,6 +23,9 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
   the 1 000-row binary table twice: as it is (imbalanced, so its cells are
   trained with class weights) and with a `"problem_type": "regression"`
   override;
+- a `fit --config` on the regression table, whose file sets `input`,
+  `target`, `output_dir`, `problem_type`, `budget`, `seed`,
+  `valid_fraction` and `portfolio_path` (the `zeroshot` step's portfolio);
 - `<step>.log` per command: its exit code, stdout and stderr.
 
 Commands run inside OUT on relative paths, and the logs name SRC as `<src>`
@@ -93,6 +96,7 @@ def _steps(out: Path):
                                  "--input", f"data/{data}", "--output", f"{job}_predict.csv"]
     yield "bench", ["bench", "--config", "data/bench.json"]
     yield "zeroshot", ["zeroshot", "--config", "data/zeroshot.json"]
+    yield "reg_config_fit", ["fit", "--config", "data/fit_config.json", *TUNE]
     yield "large_analyze", _job("analyze", "large.csv", "churned", "large_analyze", "--seed", "3")
 
 
@@ -125,7 +129,17 @@ def _write_data(out: Path, env: dict) -> None:
         "max_configs": 7,
         "seed": 3,
     }
-    for name, manifest in (("bench", bench), ("zeroshot", zeroshot)):
+    fit_config = {
+        "input": "data/regression.csv",
+        "target": "response",
+        "output_dir": "reg_config_fit",
+        "problem_type": "regression",
+        "budget": 8,
+        "seed": 2,
+        "valid_fraction": 0.25,
+        "portfolio_path": "zeroshot/portfolio.json",
+    }
+    for name, manifest in (("bench", bench), ("zeroshot", zeroshot), ("fit_config", fit_config)):
         (out / "data" / f"{name}.json").write_text(json.dumps(manifest, indent=1),
                                                    encoding="utf-8")
 

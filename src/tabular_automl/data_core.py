@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 DEFAULT_MISSING_LITERALS = frozenset({"", "na", "n/a", "nan", "null"})
 
 DEFAULT_IMBALANCE_THRESHOLD = 0.2
+PROBLEM_KINDS = ("regression", "binary_classification", "multiclass_classification")
 DEFAULT_VALID_FRACTION = 0.2
 
 # Cells matching this (ISO 8601 date or date-time, YYYY/MM/DD, D/M/YYYY) are dates.
@@ -273,7 +274,7 @@ def profile_column(values: Sequence[Optional[str]]) -> ColumnProfile:
 
 @dataclass
 class ProblemType:
-    kind: str  # regression | binary_classification | multiclass_classification
+    kind: str  # one of PROBLEM_KINDS
     n_classes: Optional[int] = None
 
     @property
@@ -376,16 +377,14 @@ class ImbalanceInfo:
     is_imbalanced: bool
 
 
-def detect_imbalance(
-    target_values: Sequence, problem: ProblemType, threshold: float = DEFAULT_IMBALANCE_THRESHOLD
-) -> ImbalanceInfo:
-    """Flag binary datasets whose minority class share is below threshold (strict)."""
+def detect_imbalance(target_values: Sequence, problem: ProblemType) -> ImbalanceInfo:
+    """Flag binary datasets whose minority class share is < DEFAULT_IMBALANCE_THRESHOLD."""
     if problem.kind != "binary_classification":
         raise WrongProblemType(f"imbalance is defined for binary classification, not {problem.kind}")
     counts = Counter(str(v) for v in target_values if v is not None)
     minority = min(counts.values())
     fraction = minority / sum(counts.values())
-    return ImbalanceInfo(minority_fraction=fraction, is_imbalanced=fraction < threshold)
+    return ImbalanceInfo(fraction, is_imbalanced=fraction < DEFAULT_IMBALANCE_THRESHOLD)
 
 
 @dataclass

@@ -67,24 +67,22 @@ class RealizationMismatch(AutomlError):
     """Strategy rule references a column type absent from the schema."""
 
 
-class ParseError(AutomlError):
+class _LocatedError(AutomlError):
+    """An error whose message starts with the file and line it points at."""
+
+    def __init__(self, message, path=None, line=None):
+        self.path = path
+        self.line = line
+        loc = f"{path or '<input>'}:{line}" if line is not None else str(path or "<input>")
+        super().__init__(f"{loc}: {message}")
+
+
+class ParseError(_LocatedError):
     """Definition file syntax error."""
 
-    def __init__(self, message, path=None, line=None):
-        self.path = path
-        self.line = line
-        loc = f"{path or '<input>'}:{line}" if line is not None else str(path or "<input>")
-        super().__init__(f"{loc}: {message}")
 
-
-class ValidationError(AutomlError):
+class ValidationError(_LocatedError):
     """Definition file parsed but violates a domain constraint."""
-
-    def __init__(self, message, path=None, line=None):
-        self.path = path
-        self.line = line
-        loc = f"{path or '<input>'}:{line}" if line is not None else str(path or "<input>")
-        super().__init__(f"{loc}: {message}")
 
 
 # --- zeroshot / tuner ---

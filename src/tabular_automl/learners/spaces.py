@@ -30,6 +30,10 @@ class HpDomain:
             return
         if self.lo is None or self.hi is None or not self.lo < self.hi:
             raise ValueError(f"{self.name}: need lo < hi, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"{self.name}: need finite bounds, got [{self.lo}, {self.hi}]")
+        if self.kind == INT and not (float(self.lo).is_integer() and float(self.hi).is_integer()):
+            raise ValueError(f"{self.name}: need integer bounds, got [{self.lo}, {self.hi}]")
         if self.kind == LOG_FLOAT and self.lo <= 0:
             raise ValueError(f"{self.name}: log domain needs lo > 0")
 

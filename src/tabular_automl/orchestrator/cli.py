@@ -13,13 +13,14 @@ import typing
 from pathlib import Path
 
 from .. import learners
-from ..data_core import DEFAULT_VALID_FRACTION, load_csv, load_feature_csv
+from ..data_core import PROBLEM_KINDS, load_csv, load_feature_csv
 from ..errors import AutomlError
 from ..strategy import apply_preprocessor, builtin_portfolio
 from ..strategy.core import save_portfolio
 from ..zeroshot import (
     DatasetHandle,
     ZeroShotConfig,
+    ZeroShotOptions,
     build_performance_table,
     normalize,
     save_performance_table,
@@ -34,14 +35,16 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
 
-PROBLEM_CHOICES = ["regression", "binary_classification", "multiclass_classification"]
+
+class _UsageError(Exception):
+    pass
 
 
 def _add_job_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="training CSV path")
     p.add_argument("--target", help="target column name")
     p.add_argument("--output-dir", help="job directory (created if absent)")
-    p.add_argument("--problem-type", choices=PROBLEM_CHOICES)
+    p.add_argument("--problem-type", choices=PROBLEM_KINDS)
     p.add_argument("--budget", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--parallelism", type=int)
@@ -52,18 +55,21 @@ def _add_job_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as exc:
+            raise _UsageError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise AutomlError(f"{path}: config must be a JSON object")
+        raise _UsageError(f"{path}: config must be a JSON object")
     return doc
 
 
-# Config-file keys and flags that name a JobConfig field differently.
-_PUBLIC_NAMES = {"input_path": "input", "problem_override": "problem_type"}
+# Config keys, manifest keys and flags that name a dataclass field differently.
+_PUBLIC_NAMES = {"input_path": "input", "problem_override": "problem_type", "dataset_id": "id"}
 
 
 def _check_type(key: str, value, hint) -> None:
-    """Reject a config value that does not fit its JobConfig field's type."""
+    """Reject a config value that does not fit its field's type."""
     allowed = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
     if float in allowed:
         allowed += (int,)
@@ -72,33 +78,39 @@ def _check_type(key: str, value, hint) -> None:
         raise _UsageError(f"config key {key!r} must be {names}, got {value!r}")
 
 
+def _record(cls, doc: dict, what: str, names: dict = _PUBLIC_NAMES, skip=()) -> dict:
+    """The keys of `doc` as keyword arguments of the dataclass `cls`.
+
+    `names` gives a field's key where the two differ; the fields in `skip` are
+    not keys. An unknown key, a value that does not fit its field's type and a
+    `problem_type` outside PROBLEM_KINDS are usage errors.
+    """
+    fields = {names.get(f.name, f.name): f.name for f in dataclasses.fields(cls)
+              if f.name not in skip}
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise _UsageError(f"unknown {what} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        _check_type(key, value, hints[fields[key]])
+    if doc.get("problem_type") not in (None, *PROBLEM_KINDS):
+        raise _UsageError(f"config key 'problem_type' must be one of {', '.join(PROBLEM_KINDS)},"
+                          f" got {doc['problem_type']!r}")
+    return {fields[key]: value for key, value in doc.items()}
+
+
 def _merged_job_config(args) -> job.JobConfig:
     """JobConfig defaults < --config file < explicit flags."""
-    fields = {
-        _PUBLIC_NAMES.get(f.name, f.name): f.name for f in dataclasses.fields(job.JobConfig)
-    }
-    hints = typing.get_type_hints(job.JobConfig)
-    merged = {}
-    if args.config:
-        file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - set(fields)
-        if unknown:
-            raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in fields:
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    merged = _record(job.JobConfig, file_cfg, "config")
+    for f in dataclasses.fields(job.JobConfig):
+        key = _PUBLIC_NAMES.get(f.name, f.name)
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = value
-    for key in ("input", "target", "output_dir"):
-        if merged.get(key) is None:
+            merged[f.name] = value
+        elif f.default is dataclasses.MISSING and f.name not in merged:
             raise _UsageError(f"--{key.replace('_', '-')} is required (flag or config)")
-    for key, value in merged.items():
-        _check_type(key, value, hints[fields[key]])
-    return job.JobConfig(**{fields[key]: value for key, value in merged.items()})
-
-
-class _UsageError(Exception):
-    pass
+    return job.JobConfig(**merged)
 
 
 def _report_exit(report: job.JobReport) -> int:
@@ -157,115 +169,78 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-_DATASET_KEYS = {"id": str, "path": str, "target": str, "problem_type": typing.Optional[str]}
+def _dataset(entry) -> BenchDataset:
+    if not isinstance(entry, dict):
+        raise _UsageError(f"dataset entry must be an object, got {entry!r}")
+    for key in ("id", "path", "target"):
+        if key not in entry:
+            raise _UsageError(f"dataset entry missing {key!r}: {entry}")
+    return BenchDataset(**_record(BenchDataset, entry, "dataset entry"))
 
 
-def _manifest(path, keys: dict) -> dict:
-    """A bench or zeroshot manifest: a `datasets` list, an `output_dir`, and
-    any of the command's own `keys` (name -> type hint)."""
+def _manifest(path, cls, names: dict = _PUBLIC_NAMES, skip=()):
+    """A bench or zeroshot manifest: its `datasets`, its `output_dir`, and
+    its other keys read by `_record` as fields of `cls`."""
     doc = _load_config_file(path)
-    unknown = set(doc) - set(keys) - {"datasets", "output_dir"}
-    if unknown:
-        raise _UsageError(f"unknown manifest keys: {sorted(unknown)}")
-    datasets = doc.get("datasets")
+    datasets, out = doc.pop("datasets", None), doc.pop("output_dir", None)
+    options = _record(cls, doc, "manifest", names, skip)
     if not isinstance(datasets, list) or not datasets:
         raise _UsageError("config needs a non-empty 'datasets' list")
-    for entry in datasets:
-        if not isinstance(entry, dict):
-            raise _UsageError(f"dataset entry must be an object, got {entry!r}")
-        for key in ("id", "path", "target"):
-            if key not in entry:
-                raise _UsageError(f"dataset entry missing {key!r}: {entry}")
-        unknown = set(entry) - set(_DATASET_KEYS)
-        if unknown:
-            raise _UsageError(f"unknown dataset entry keys {sorted(unknown)}: {entry}")
-        for key, value in entry.items():
-            _check_type(key, value, _DATASET_KEYS[key])
-    if not doc.get("output_dir"):
+    datasets = [_dataset(entry) for entry in datasets]
+    if not out:
         raise _UsageError("config needs 'output_dir'")
-    for key, hint in dict(keys, output_dir=str).items():
-        if key in doc:
-            _check_type(key, doc[key], hint)
-    return doc
-
-
-_ZEROSHOT_KEYS = {"k": int, "solver": str, "seed": int, "valid_fraction": float,
-                  "max_configs": typing.Optional[int]}
+    _check_type("output_dir", out, str)
+    return datasets, out, options
 
 
 def cmd_zeroshot(args) -> int:
-    doc = _manifest(args.config, _ZEROSHOT_KEYS)
-    k = doc.get("k", 5)
-    solver = doc.get("solver", "greedy")
-    if solver not in ("greedy", "exact"):
-        raise _UsageError(f"solver must be greedy or exact, got {solver!r}")
-    seed = doc.get("seed", 0)
-    valid_fraction = doc.get("valid_fraction", DEFAULT_VALID_FRACTION)
-    max_configs = doc.get("max_configs")
-    if max_configs is not None and max_configs < 1:
-        raise _UsageError(f"max_configs must be at least 1, got {max_configs}")
+    datasets, out, options = _manifest(args.config, ZeroShotOptions)
+    opts = ZeroShotOptions(**options)
+    if opts.solver not in ("greedy", "exact"):
+        raise _UsageError(f"solver must be greedy or exact, got {opts.solver!r}")
+    if opts.max_configs is not None and opts.max_configs < 1:
+        raise _UsageError(f"max_configs must be at least 1, got {opts.max_configs}")
     strategies = builtin_portfolio().strategies
-    configs = [ZeroShotConfig(s, dict(hp)) for s in strategies for hp in s.seeds][:max_configs]
-    if not 1 <= k <= len(configs):
-        raise _UsageError(f"k must be in [1, {len(configs)}] (the configs scored), got {k}")
+    configs = [ZeroShotConfig(s, dict(hp)) for s in strategies for hp in s.seeds][:opts.max_configs]
+    if not 1 <= opts.k <= len(configs):
+        raise _UsageError(f"k must be in [1, {len(configs)}] (the configs scored), got {opts.k}")
 
     # Each dataset is split and analyzed as `fit` would do it.
     handles = [
         DatasetHandle(
-            id=entry["id"],
+            id=ds.dataset_id,
             analysis=job.analyze_table(
-                load_csv(entry["path"], entry["target"]),
-                seed,
-                valid_fraction,
-                entry.get("problem_type"),
+                load_csv(ds.path, ds.target), opts.seed, opts.valid_fraction, ds.problem_override
             ),
         )
-        for entry in doc["datasets"]
+        for ds in datasets
     ]
 
-    table = normalize(build_performance_table(configs, handles, seed))
-    select = select_portfolio_exact if solver == "exact" else select_portfolio_greedy
-    selection = select(table, k)
+    table = normalize(build_performance_table(configs, handles, opts.seed))
+    select = select_portfolio_exact if opts.solver == "exact" else select_portfolio_greedy
+    selection = select(table, opts.k)
     portfolio = selection_to_portfolio(table, selection)
 
-    out = Path(doc["output_dir"])
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     save_performance_table(table, out / "performance_table.csv")
     save_portfolio(portfolio, out / "portfolio.json")
     ids = [s.id for s in portfolio.strategies]
     print(
         f"portfolio k={len(ids)} objective={selection.objective:.6g}"
-        f" solver={solver} strategies={','.join(ids)}"
+        f" solver={opts.solver} strategies={','.join(ids)}"
     )
     return EXIT_OK
 
 
-# Bench manifest key -> JobConfig field. Absent keys keep JobConfig's defaults.
-_BENCH_KEYS = {
-    "budget": "budget",
-    "epsilon": "epsilon",
-    "parallelism": "parallelism",
-    "seed": "seed",
-    "max_runtime": "max_runtime",
-    "valid_fraction": "valid_fraction",
-    "portfolio": "portfolio_path",
-}
+# The JobConfig fields that bench sets for each dataset; the rest are manifest keys.
+_PER_DATASET = ("input_path", "target", "output_dir", "problem_override")
 
 
 def cmd_bench(args) -> int:
-    hints = typing.get_type_hints(job.JobConfig)
-    doc = _manifest(args.config, {key: hints[field] for key, field in _BENCH_KEYS.items()})
-    datasets = [
-        BenchDataset(
-            dataset_id=e["id"],
-            path=e["path"],
-            target=e["target"],
-            problem_override=e.get("problem_type"),
-        )
-        for e in doc["datasets"]
-    ]
-    job_args = {field: doc[key] for key, field in _BENCH_KEYS.items() if key in doc}
-    summary = run_bench(datasets, doc["output_dir"], **job_args)
+    names = dict(_PUBLIC_NAMES, portfolio_path="portfolio")
+    datasets, out, job_args = _manifest(args.config, job.JobConfig, names, _PER_DATASET)
+    summary = run_bench(datasets, out, **job_args)
     for r in summary.results:
         if r.status == "completed":
             print(

@@ -59,11 +59,11 @@ class JobConfig:
     target: str
     output_dir: str
     problem_override: Optional[str] = None
-    budget: int = 250
-    epsilon: float = 0.1
-    parallelism: int = 1
-    seed: int = 0
-    max_runtime: Optional[float] = None
+    budget: int = TunerConfig.total_budget
+    epsilon: float = TunerConfig.epsilon
+    parallelism: int = TunerConfig.parallelism
+    seed: int = TunerConfig.seed
+    max_runtime: Optional[float] = TunerConfig.max_runtime
     valid_fraction: float = DEFAULT_VALID_FRACTION
     portfolio_path: Optional[str] = None
 

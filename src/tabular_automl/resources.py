@@ -141,8 +141,6 @@ def plan_for(
     n_cols: int,
     density: float,
     space: Optional[HpSpace] = None,
-    models: dict = None,
-    catalog: InstanceCatalog = DEFAULT_CATALOG,
 ) -> ResourcePlan:
-    model = (models or DEFAULT_MEMORY_MODELS)[algorithm]
-    return recommend(estimate_memory(algorithm, n_rows, n_cols, density, space, model), catalog)
+    model = DEFAULT_MEMORY_MODELS[algorithm]
+    return recommend(estimate_memory(algorithm, n_rows, n_cols, density, space, model))

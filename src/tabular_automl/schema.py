@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .data_core import ColumnProfile
 from .errors import AllColumnsIgnored
@@ -70,15 +70,11 @@ class SchemaReport:
         return [e.name for e in self.entries]
 
 
-def build_schema(
-    profiles: Sequence[ColumnProfile], names: Optional[Sequence[str]] = None
-) -> SchemaReport:
+def build_schema(profiles: Sequence[ColumnProfile], names: Sequence[str]) -> SchemaReport:
     """Detect a type set for each feature column (the target is not passed in).
 
     Raises AllColumnsIgnored when no column matches any rule.
     """
-    if names is None:
-        names = [f"col{i}" for i in range(len(profiles))]
     if len(names) != len(profiles):
         raise ValueError("names and profiles must align")
     entries = [SchemaEntry(name=n, candidates=detect_column_type(p)) for n, p in zip(names, profiles)]

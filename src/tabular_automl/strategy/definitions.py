@@ -11,15 +11,14 @@ import re
 from pathlib import Path
 from typing import Optional, Union
 
+from ..data_core import PROBLEM_KINDS
 from ..errors import ParseError, ValidationError
-from ..learners import HpDomain, HpSpace
+from ..learners import ALGORITHMS, HpDomain, HpSpace
 from ..transforms import TransformerSpec
 from .core import PipelineDefinition
 
 HEADER = "# pipeline definition v1"
 SECTIONS = ("pipeline", "transformers", "algorithm", "tunables", "seeds", "resources", "provenance")
-PROBLEM_KINDS = ("regression", "binary_classification", "multiclass_classification")
-ALGORITHM_NAMES = ("gbt", "linear")
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _SECTION_RE = re.compile(r"^\[([a-z_]+)\]$")
@@ -156,11 +155,10 @@ def _parse_domain_line(rd: _Reader, n: int, name: str, raw: str) -> HpDomain:
     lo, hi = _parse_value(lo_s), _parse_value(hi_s)
     if isinstance(lo, str) or isinstance(hi, str):
         rd.fail(n, "domain bounds must be numeric")
-    if not lo < hi:
-        rd.fail(n, f"domain needs lo < hi, got [{lo}, {hi}]", kind=ValidationError)
-    if kind == "log_float" and lo <= 0:
-        rd.fail(n, f"log domain needs lo > 0, got {lo}", kind=ValidationError)
-    return HpDomain(name=name, kind=kind, lo=float(lo), hi=float(hi))
+    try:
+        return HpDomain(name=name, kind=kind, lo=float(lo), hi=float(hi))
+    except ValueError as exc:
+        rd.fail(n, str(exc), kind=ValidationError)
 
 
 def parse_definition_text(text: str, path="<input>") -> PipelineDefinition:
@@ -207,7 +205,7 @@ def parse_definition_text(text: str, path="<input>") -> PipelineDefinition:
                 rd.fail(n, f"expected key = value, got {line!r}")
             key, raw_val = kv.group(1), kv.group(2).strip()
             if key == "name":
-                if raw_val not in ALGORITHM_NAMES:
+                if raw_val not in ALGORITHMS:
                     rd.fail(n, f"unknown algorithm {raw_val!r}", kind=ValidationError)
                 statics["__name__"] = raw_val
             else:

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .data_core import DEFAULT_VALID_FRACTION
 from .errors import TooLarge
 from .orchestrator.job import Analysis, train_and_score
 from .strategy import (
@@ -31,6 +32,17 @@ from .strategy.core import strategy_from_dict, strategy_to_dict
 
 FAILURE_PENALTY = 1.5
 EXACT_GUARD = 10**6
+
+
+@dataclass
+class ZeroShotOptions:
+    """The options of `automl zeroshot` besides its datasets and output_dir."""
+
+    k: int = 5  # portfolio size
+    solver: str = "greedy"  # or "exact"
+    seed: int = 0
+    valid_fraction: float = DEFAULT_VALID_FRACTION
+    max_configs: Optional[int] = None  # score only the first this many configs
 
 
 @dataclass

@@ -814,3 +814,67 @@ class TestBenchCommand:
                 output_dir=str(job_dir),
             )
         ]
+
+
+class TestInputsCheckedBeforeAnyRead:
+    """A bad value or a bad file is a usage error in every JSON input, as the
+    same value is as a flag, and nothing is read or written first."""
+
+    @pytest.mark.parametrize("command", ["fit", "zeroshot", "bench"])
+    def test_unknown_problem_type_is_usage_error(
+        self, tmp_path, small_regression_csv, capsys, command
+    ):
+        out = tmp_path / "out"
+        if command == "fit":
+            doc = {"input": small_regression_csv, "target": "response", "output_dir": str(out),
+                   "problem_type": "regresion"}
+        else:
+            dataset = {"id": "reg_small", "path": small_regression_csv, "target": "response",
+                       "problem_type": "regresion"}
+            doc = {"datasets": [dataset], "output_dir": str(out)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'problem_type'" in err and "'regresion'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{bad"], ids=["not_an_object", "not_json"])
+    @pytest.mark.parametrize("command", ["fit", "zeroshot", "bench"])
+    def test_config_that_is_not_a_json_object_is_usage_error(
+        self, tmp_path, small_regression_csv, capsys, command, text
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        flags = ["--input", small_regression_csv, "--target", "response",
+                 "--output-dir", str(out)] if command == "fit" else []
+        assert main([command, "--config", str(cfg), *flags]) == EXIT_USAGE
+        assert str(cfg) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("epochs = int(5, 100)", "epochs = int(5, inf)"),
+         ("l2 = log_float(1e-06, 10.0)", "l2 = log_float(1e-06, inf)"),
+         ("epochs = int(5, 100)", "epochs = int(5.5, 7.5)")],
+        ids=["int_to_inf", "log_float_to_inf", "fractional_int"],
+    )
+    def test_tunable_bound_the_tuner_cannot_use_fails_rerun_at_parse(
+        self, tmp_path, small_regression_csv, old, new
+    ):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--input", small_regression_csv, "--target", "response",
+                     "--output-dir", str(gen)]) == EXIT_OK
+        victim = gen / "candidates" / "linear_standard.pipeline"
+        text = victim.read_text()
+        assert old in text
+        victim.write_text(text.replace(old, new))
+        cfg = JobConfig(input_path=small_regression_csv, target="response",
+                        output_dir=str(tmp_path / "rerun"), budget=8)
+        report = run_rerun(cfg, gen / "candidates")
+        assert report.status == "failed"
+        assert report.message.startswith("ValidationError: ")
+        line_no = text.splitlines().index(old) + 1
+        assert f"{victim.name}:{line_no}: " in report.message
+        assert report.problem_kind is None

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -402,6 +403,15 @@ class TestHpSpaces:
     def test_static_tunable_overlap_rejected(self):
         with pytest.raises(ValueError):
             HpSpace(statics={"x": 1}, tunables=[HpDomain("x", "float", 0.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "kind, lo, hi",
+        [("int", 5, math.inf), ("float", -math.inf, 1.0), ("log_float", 1e-6, math.inf),
+         ("int", 5.5, 7.5), ("float", math.nan, 1.0)],
+    )
+    def test_bounds_the_tuner_cannot_use_rejected(self, kind, lo, hi):
+        with pytest.raises(ValueError, match="epochs: need"):
+            HpDomain("epochs", kind, lo, hi)
 
     def test_space_round_trip(self):
         space = default_hp_space("gbt", REGRESSION, 500, 8)

@@ -26,6 +26,7 @@ from tabular_automl.strategy import (
     strategy_from_dict,
     strategy_to_dict,
 )
+from tabular_automl.strategy.definitions import HEADER
 from tabular_automl.strategy.preprocess import preprocessor_from_dict, preprocessor_to_dict
 
 REGRESSION = ProblemType(kind="regression")
@@ -274,6 +275,84 @@ class TestDefinitionFiles:
         extra = json.dumps({"n_trees": 42}) + "\n\n[provenance]"
         with pytest.raises(ValidationError):
             parse_definition_text(text.replace("\n[provenance]", extra, 1))
+
+
+# (old, new, error class, message fragment, the line reported): the line is
+# the last one equal to the given text, or the file's last line for None.
+PARSER_ERRORS = {
+    "duplicate_section": ("[provenance]", "[seeds]", ParseError, "duplicate section",
+                          "[seeds]"),
+    "content_before_section": (HEADER, "stray", ParseError, "content before any section",
+                               "stray"),
+    "missing_section": ("[tunables]\n", "", ParseError, "missing required section [tunables]",
+                        None),
+    "missing_id": ("id = gbt_robust_numeric\n", "", ValidationError, "missing pipeline id",
+                   HEADER),
+    "invalid_id": ("id = gbt_robust_numeric", "id = no spaces", ValidationError,
+                   "invalid pipeline id", "id = no spaces"),
+    "unknown_problem": ("problem = regression", "problem = regresion", ValidationError,
+                        "unknown problem kind", "problem = regresion"),
+    "one_class": ("problem = regression", "problem = regression\nclasses = 1",
+                  ValidationError, "classes must be an integer >= 2", "classes = 1"),
+    "classes_missing": ("problem = regression", "problem = binary_classification",
+                        ValidationError, "need a classes line",
+                        "problem = binary_classification"),
+    "unknown_algorithm": ("name = gbt", "name = forest", ValidationError, "unknown algorithm",
+                          "name = forest"),
+    "missing_name": ("name = gbt\n", "", ValidationError, "missing algorithm name", None),
+    "static_and_tunable": ("loss = squared_error", "loss = squared_error\nn_trees = 5",
+                           ValidationError, "both static and tunable", None),
+    "seed_not_json": ("[seeds]\n", "[seeds]\nnot json\n", ParseError, "seed is not valid JSON",
+                      "not json"),
+    "seed_not_object": ("[seeds]\n", "[seeds]\n[1, 2]\n", ParseError,
+                        "seed must be a JSON object", "[1, 2]"),
+    "firing_not_json": ('firing = {"column"', "firing = {column", ParseError,
+                        "firing is not valid JSON", 'firing = {column: "amount", "rule": 0}'),
+    "unknown_provenance_key": ("[provenance]\n", "[provenance]\nauthor = me\n", ParseError,
+                               "unknown provenance key", "author = me"),
+    "param_without_equals": ("quantile_bin(bins=5)", "quantile_bin(bins)", ParseError,
+                             "is not name=value", 'quantile_bin(bins) on "amount"'),
+    "non_numeric_param": ("quantile_bin(bins=5)", "quantile_bin(bins=five)", ParseError,
+                          "must be numeric", 'quantile_bin(bins=five) on "amount"'),
+    "column_list": ('standardize on "other"', "standardize on other", ParseError,
+                    "cannot parse column list", "standardize on other"),
+    "non_numeric_bound": ("int(2, 9)", "int(two, 9)", ParseError,
+                          "domain bounds must be numeric", "max_depth = int(two, 9)"),
+    "log_lo_not_positive": ("log_float(0.01, 0.5)", "log_float(0, 0.5)", ValidationError,
+                            "log domain needs lo > 0", "learning_rate = log_float(0, 0.5)"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSER_ERRORS), ids=list(PARSER_ERRORS))
+def test_parser_error_names_its_class_and_line(case):
+    old, new, error, fragment, marker = PARSER_ERRORS[case]
+    text = serialize_definition(realized_example())
+    assert old in text
+    edited = text.replace(old, new, 1)
+    lines = edited.split("\n")
+    line_no = len(lines) if marker is None else len(lines) - lines[::-1].index(marker)
+    with pytest.raises(error) as exc:
+        parse_definition_text(edited, "x.pipeline")
+    assert type(exc.value) is error
+    assert f"x.pipeline:{line_no}: " in str(exc.value)
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [("n_trees = int(10, 300)", "n_trees = int(10, inf)", "need finite bounds"),
+     ("learning_rate = log_float(0.01, 0.5)", "learning_rate = log_float(0.01, inf)",
+      "need finite bounds"),
+     ("max_depth = int(2, 9)", "max_depth = int(2.5, 8.5)", "need integer bounds")],
+    ids=["int_inf", "log_float_inf", "fractional_int"],
+)
+def test_bound_the_tuner_cannot_use_is_rejected_at_its_line(old, new, fragment):
+    text = serialize_definition(realized_example())
+    edited = text.replace(old, new, 1)
+    line_no = edited.split("\n").index(new) + 1
+    with pytest.raises(ValidationError, match=fragment) as exc:
+        parse_definition_text(edited, "x.pipeline")
+    assert f"x.pipeline:{line_no}: " in str(exc.value)
 
 
 def table(columns, target, target_values):
