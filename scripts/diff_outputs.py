@@ -25,7 +25,8 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
   override;
 - a `fit --config` on the regression table, whose file sets `input`,
   `target`, `output_dir`, `problem_type`, `budget`, `seed`,
-  `valid_fraction` and `portfolio_path` (the `zeroshot` step's portfolio);
+  `valid_fraction`, `portfolio_path` (the `zeroshot` step's portfolio) and
+  a `max_runtime` of 600 s, so the P = 1 path with a deadline set runs too;
 - `<step>.log` per command: its exit code, stdout and stderr.
 
 Commands run inside OUT on relative paths, and the logs name SRC as `<src>`
@@ -138,6 +139,7 @@ def _write_data(out: Path, env: dict) -> None:
         "seed": 2,
         "valid_fraction": 0.25,
         "portfolio_path": "zeroshot/portfolio.json",
+        "max_runtime": 600,
     }
     for name, manifest in (("bench", bench), ("zeroshot", zeroshot), ("fit_config", fit_config)):
         (out / "data" / f"{name}.json").write_text(json.dumps(manifest, indent=1),

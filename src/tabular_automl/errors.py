@@ -87,6 +87,10 @@ class ValidationError(_LocatedError):
 
 # --- zeroshot / tuner ---
 
+class OptionOutOfRange(AutomlError, ValueError):
+    """A config value outside its range, rejected as the config is built."""
+
+
 class TooLarge(AutomlError):
     """Exact portfolio enumeration guard exceeded."""
 

@@ -86,29 +86,21 @@ def baseline_loss(rest: RawTable, test: RawTable, cfg: JobConfig) -> Loss:
     return train_and_score(d, prep, d.space.clamp(BASELINE_HP), analysis, cfg.seed)[1]
 
 
-def _run_one(ds: BenchDataset, jobs_dir: Path, job_args: dict) -> BenchResult:
-    job_dir = jobs_dir / ds.dataset_id
-    cfg = JobConfig(
-        input_path=str(job_dir / "input.csv"),
-        target=ds.target,
-        output_dir=str(job_dir),
-        problem_override=ds.problem_override,
-        **job_args,
-    )
+def _run_one(ds: BenchDataset, cfg: JobConfig) -> BenchResult:
     result = BenchResult(dataset_id=ds.dataset_id, status="failed")
     try:
         split = split_table(load_csv(ds.path, ds.target), cfg.seed, TEST_FRACTION,
                             cfg.problem_override)
         rest, test, problem = split.train, split.valid, split.problem
 
-        job_dir.mkdir(parents=True, exist_ok=True)
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         artifacts.write_fold_csv(rest, cfg.input_path)
         report = run_fit(cfg)
         if report.status != "completed":
             result.message = report.message or f"job status {report.status}"
             return result
 
-        engine = score_stored_model(job_dir, report.best, test, problem)
+        engine = score_stored_model(cfg.output_dir, report.best, test, problem)
         base = baseline_loss(rest, test, cfg)
         result.status = "completed"
         result.loss_kind = engine.kind
@@ -123,16 +115,19 @@ def _run_one(ds: BenchDataset, jobs_dir: Path, job_args: dict) -> BenchResult:
 
 def run_bench(datasets: list[BenchDataset], output_dir, **job_args) -> BenchSummary:
     """Fit and score every dataset. `job_args` are JobConfig fields such as
-    `budget` or `seed`; the ones not given keep JobConfig's defaults."""
+    `budget` or `seed`; the ones not given keep JobConfig's defaults. Every
+    job's config is built, and so checked, before any directory is made."""
     if not datasets:
         raise ValidationError("benchmark needs at least one dataset")
     out = Path(output_dir)
     jobs_dir = out / "jobs"
+    cfgs = [JobConfig(input_path=str(jobs_dir / ds.dataset_id / "input.csv"),
+                      output_dir=str(jobs_dir / ds.dataset_id), target=ds.target,
+                      problem_override=ds.problem_override, **job_args) for ds in datasets]
     jobs_dir.mkdir(parents=True, exist_ok=True)
 
     summary = BenchSummary()
-    for ds in datasets:
-        summary.results.append(_run_one(ds, jobs_dir, job_args))
+    summary.results = [_run_one(ds, cfg) for ds, cfg in zip(datasets, cfgs)]
 
     done = [r for r in summary.results if r.status == "completed"]
     summary.success_rate = len(done) / len(summary.results)

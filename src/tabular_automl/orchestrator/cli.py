@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .. import learners
 from ..data_core import PROBLEM_KINDS, load_csv, load_feature_csv
-from ..errors import AutomlError
+from ..errors import OptionOutOfRange
 from ..strategy import apply_preprocessor, builtin_portfolio
 from ..strategy.core import save_portfolio
 from ..zeroshot import (
@@ -196,10 +196,6 @@ def _manifest(path, cls, names: dict = _PUBLIC_NAMES, skip=()):
 def cmd_zeroshot(args) -> int:
     datasets, out, options = _manifest(args.config, ZeroShotOptions)
     opts = ZeroShotOptions(**options)
-    if opts.solver not in ("greedy", "exact"):
-        raise _UsageError(f"solver must be greedy or exact, got {opts.solver!r}")
-    if opts.max_configs is not None and opts.max_configs < 1:
-        raise _UsageError(f"max_configs must be at least 1, got {opts.max_configs}")
     strategies = builtin_portfolio().strategies
     configs = [ZeroShotConfig(s, dict(hp)) for s in strategies for hp in s.seeds][:opts.max_configs]
     if not 1 <= opts.k <= len(configs):
@@ -308,14 +304,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, OptionOutOfRange) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except AutomlError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except Exception as exc:  # job failures must not escape as tracebacks
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from ..data_core import (
     stratified_split,
     stratum_valid_rows,
 )
-from ..errors import AutomlError, WrongProblemType
+from ..errors import AutomlError, OptionOutOfRange, WrongProblemType
 from ..schema import SchemaReport, build_schema
 from ..strategy import (
     PipelineDefinition,
@@ -53,19 +53,21 @@ from ..tuner import run as tuner_run
 from . import artifacts
 
 
-@dataclass
-class JobConfig:
+@dataclass(kw_only=True)
+class JobConfig(TunerConfig):
+    """A job's data and output, plus the tuning options of the `TunerConfig` it is."""
+
     input_path: str
     target: str
     output_dir: str
     problem_override: Optional[str] = None
-    budget: int = TunerConfig.total_budget
-    epsilon: float = TunerConfig.epsilon
-    parallelism: int = TunerConfig.parallelism
-    seed: int = TunerConfig.seed
-    max_runtime: Optional[float] = TunerConfig.max_runtime
     valid_fraction: float = DEFAULT_VALID_FRACTION
     portfolio_path: Optional[str] = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.valid_fraction < 1:
+            raise OptionOutOfRange(f"valid_fraction must be in (0,1), got {self.valid_fraction}")
 
 
 @dataclass
@@ -378,16 +380,9 @@ def _fit(job: _Job) -> None:
     if not arms:
         raise AutomlError("no pipeline survived preprocessing")
 
-    tuner_cfg = TunerConfig(
-        total_budget=cfg.budget,
-        epsilon=cfg.epsilon,
-        parallelism=cfg.parallelism,
-        seed=cfg.seed,
-        max_runtime=cfg.max_runtime,
-    )
     started = time.monotonic()
     log = artifacts.TrialLog(out / "trials.jsonl")
-    leaderboard, state = tuner_run(arms, tuner_cfg, log_sink=log)
+    leaderboard, state = tuner_run(arms, cfg, log_sink=log)
     report.timings["tune_s"] = time.monotonic() - started
     report.trials_issued = state.issued
     report.trials_finished = sum(

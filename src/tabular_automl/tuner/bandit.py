@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from ..errors import DegenerateHistory, DoubleReport, Exhausted, UnknownTrial
+from ..errors import DegenerateHistory, DoubleReport, Exhausted, OptionOutOfRange, UnknownTrial
 from ..learners import HpSpace, Loss
 from .bo import suggest_bo
 
@@ -31,21 +31,26 @@ QUARANTINE_AFTER = 5
 
 @dataclass
 class TunerConfig:
-    total_budget: int = 250
+    budget: int = 250
     epsilon: float = 0.1
     parallelism: int = 1
-    bo_min_finished: int = 5
-    gate_suggested: int = 5
     seed: int = 0
     max_runtime: Optional[float] = None  # seconds
 
+    bo_min_finished: ClassVar[int] = 5
+    gate_suggested: ClassVar[int] = 5
+
     def __post_init__(self):
         if not 0 <= self.epsilon <= 1:
-            raise ValueError(f"epsilon must be in [0,1], got {self.epsilon}")
+            raise OptionOutOfRange(f"epsilon must be in [0,1], got {self.epsilon}")
         if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.total_budget < 1:
-            raise ValueError(f"total_budget must be >= 1, got {self.total_budget}")
+            raise OptionOutOfRange(f"parallelism must be >= 1, got {self.parallelism}")
+        if self.budget < 1:
+            raise OptionOutOfRange(f"budget must be >= 1, got {self.budget}")
+        if self.seed < 0:
+            raise OptionOutOfRange(f"seed must be >= 0, got {self.seed}")
+        if self.max_runtime is not None and self.max_runtime <= 0:
+            raise OptionOutOfRange(f"max_runtime must be > 0, got {self.max_runtime}")
 
 
 @dataclass
@@ -126,8 +131,8 @@ def _suggest_hp(p: PipelineState, cfg: TunerConfig, rng: np.random.Generator) ->
 
 def next_action(state: TunerState, cfg: TunerConfig) -> Trial:
     """Pick a pipeline and an HP config; registers the suggestion immediately."""
-    if state.issued >= cfg.total_budget:
-        raise Exhausted(f"budget of {cfg.total_budget} trials spent")
+    if state.issued >= cfg.budget:
+        raise Exhausted(f"budget of {cfg.budget} trials spent")
 
     if state.phase == EXPLORATION and state.gate_satisfied(cfg):
         state.phase = EPSILON_GREEDY

@@ -197,11 +197,9 @@ def run(
     log_sink: Optional[Callable[[dict], None]] = None,
 ) -> tuple[Leaderboard, TunerState]:
     """Explore the arms under budget/epsilon/parallelism; rank finished trials."""
-    if not arms:
-        raise ValueError("need at least one pipeline")
-    if cfg.total_budget < len(arms):
+    if cfg.budget < len(arms):
         raise ValueError(
-            f"budget {cfg.total_budget} is below the pipeline count {len(arms)}"
+            f"budget {cfg.budget} is below the pipeline count {len(arms)}"
         )
     by_id = {a.pipeline_id: a for a in arms}
     state = TunerState(
@@ -211,7 +209,7 @@ def run(
         ],
         seed=cfg.seed,
     )
-    deadline = time.monotonic() + cfg.max_runtime if cfg.max_runtime else None
+    deadline = None if cfg.max_runtime is None else time.monotonic() + cfg.max_runtime
 
     def issue() -> Optional[Trial]:
         if deadline is not None and time.monotonic() >= deadline:

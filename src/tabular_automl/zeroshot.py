@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data_core import DEFAULT_VALID_FRACTION
-from .errors import TooLarge
+from .errors import OptionOutOfRange, TooLarge
 from .orchestrator.job import Analysis, train_and_score
 from .strategy import (
     Strategy,
@@ -43,6 +43,16 @@ class ZeroShotOptions:
     seed: int = 0
     valid_fraction: float = DEFAULT_VALID_FRACTION
     max_configs: Optional[int] = None  # score only the first this many configs
+
+    def __post_init__(self):
+        if self.solver not in ("greedy", "exact"):
+            raise OptionOutOfRange(f"solver must be greedy or exact, got {self.solver!r}")
+        if self.max_configs is not None and self.max_configs < 1:
+            raise OptionOutOfRange(f"max_configs must be at least 1, got {self.max_configs}")
+        if self.seed < 0:
+            raise OptionOutOfRange(f"seed must be >= 0, got {self.seed}")
+        if not 0 < self.valid_fraction < 1:
+            raise OptionOutOfRange(f"valid_fraction must be in (0,1), got {self.valid_fraction}")
 
 
 @dataclass

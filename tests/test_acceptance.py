@@ -88,7 +88,7 @@ def test_criterion_01_bandit_identification():
                 TunerArm(pipeline_id=f"p{i:02d}", space=STATIC_SPACE, seeds=[], runner=runner)
             )
         board, _ = run(
-            arms, TunerConfig(total_budget=250, epsilon=0.1, parallelism=1, seed=seed)
+            arms, TunerConfig(budget=250, epsilon=0.1, parallelism=1, seed=seed)
         )
         selected = board.best.pipeline_id
         best_hits += selected == true_best
@@ -539,7 +539,7 @@ def test_criterion_10_budget_and_robustness():
         healthy("ok_b", 0.35),
         TunerArm(pipeline_id="doomed", space=STATIC_SPACE, seeds=[], runner=broken_runner),
     ]
-    board, state = run(arms, TunerConfig(total_budget=60, epsilon=0.1, parallelism=10, seed=5))
+    board, state = run(arms, TunerConfig(budget=60, epsilon=0.1, parallelism=10, seed=5))
     doomed = state.pipelines["doomed"]
     ok = (
         state.issued <= 60

@@ -816,9 +816,46 @@ class TestBenchCommand:
         ]
 
 
+_OUT_OF_RANGE = [("budget", 0), ("epsilon", 2), ("parallelism", 0), ("seed", -1),
+                 ("max_runtime", 0), ("max_runtime", -5), ("valid_fraction", 0),
+                 ("valid_fraction", 1.5)]
+
+
 class TestInputsCheckedBeforeAnyRead:
     """A bad value or a bad file is a usage error in every JSON input, as the
     same value is as a flag, and nothing is read or written first."""
+
+    @pytest.mark.parametrize(
+        "how, key, value",
+        [(how, key, value) for how in ("flag", "config", "bench") for key, value in _OUT_OF_RANGE
+         if (how, key) != ("flag", "valid_fraction")]  # valid_fraction has no flag
+        + [("zeroshot", key, value) for key, value in _OUT_OF_RANGE
+           if key in ("seed", "valid_fraction")],
+    )
+    def test_out_of_range_value_is_usage_error(
+        self, tmp_path, small_regression_csv, capsys, how, key, value
+    ):
+        out = tmp_path / "out"
+        # A small budget keeps a run that wrongly goes ahead short.
+        small = {"max_configs": 1, "k": 1} if how == "zeroshot" else {"budget": 8, "parallelism": 1}
+        options = small | {key: value}
+        dataset = {"id": "reg_small", "path": small_regression_csv, "target": "response"}
+        if how == "flag":
+            argv = ["fit", "--input", small_regression_csv, "--target", "response",
+                    "--output-dir", str(out)]
+            for k, v in options.items():
+                argv += [f"--{k.replace('_', '-')}", str(v)]
+        else:
+            if how == "config":
+                doc = {"input": small_regression_csv, "target": "response", "output_dir": str(out)}
+            else:
+                doc = {"datasets": [dataset], "output_dir": str(out)}
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc | options))
+            argv = ["fit" if how == "config" else how, "--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "zeroshot", "bench"])
     def test_unknown_problem_type_is_usage_error(

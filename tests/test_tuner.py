@@ -192,7 +192,7 @@ class TestReporting:
 class TestBudgetAndSeeds:
     def test_budget_exhausts(self):
         st = state_of(pipeline("a"))
-        cfg = TunerConfig(total_budget=3)
+        cfg = TunerConfig(budget=3)
         for _ in range(3):
             next_action(st, cfg)
         with pytest.raises(Exhausted):
@@ -202,7 +202,7 @@ class TestBudgetAndSeeds:
         space = HpSpace(tunables=[HpDomain("n", "int", 1, 100)])
         seeds = [{"n": 7}, {"n": 50}, {"n": 99}]
         st = state_of(pipeline("a", seeds=seeds, space=space))
-        cfg = TunerConfig(total_budget=5)
+        cfg = TunerConfig(budget=5)
         got = [next_action(st, cfg).hp for _ in range(5)]
         assert got[:3] == seeds
         for hp in got[3:]:
@@ -217,7 +217,7 @@ class TestBudgetAndSeeds:
         space = HpSpace(tunables=[HpDomain("n", "int", 1, 100)])
         seeds = [{"n": v} for v in (1, 2, 3, 4, 5)]
         st = state_of(pipeline("a", seeds=seeds, space=space))
-        cfg = TunerConfig(total_budget=5)
+        cfg = TunerConfig(budget=5)
         assert [next_action(st, cfg).hp for _ in range(5)] == seeds
 
 
@@ -385,7 +385,7 @@ def make_arm(pid, fn, seeds=(), space=None):
 class TestEngine:
     def test_budget_and_ranks(self):
         arm = make_arm("a", lambda t: 1.0 + t.trial_id * 0.1)
-        board, state = run([arm], TunerConfig(total_budget=6, parallelism=1))
+        board, state = run([arm], TunerConfig(budget=6, parallelism=1))
         assert state.issued == 6
         assert [e.rank for e in board.entries] == [1, 2, 3, 4, 5, 6]
         assert board.best.trial_id == 0
@@ -402,7 +402,7 @@ class TestEngine:
             return losses[trial.trial_id], {}
 
         arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
-        board, _ = run([arm], TunerConfig(total_budget=3, parallelism=1))
+        board, _ = run([arm], TunerConfig(budget=3, parallelism=1))
         assert [e.trial_id for e in board.entries] == [2, 1, 0]
 
     def test_same_seed_same_stream(self):
@@ -413,7 +413,7 @@ class TestEngine:
             arm = make_arm("a", lambda t: abs(t.hp["x"] - 0.6), space=space)
             run(
                 [arm, make_arm("b", lambda t: 0.9)],
-                TunerConfig(total_budget=20, parallelism=1, seed=11),
+                TunerConfig(budget=20, parallelism=1, seed=11),
                 log_sink=events.append,
             )
             return events
@@ -431,7 +431,7 @@ class TestEngine:
             seeds=[],
             runner=lambda trial, seed: (_ for _ in ()).throw(RuntimeError("broken")),
         )
-        board, state = run([ok, bad_arm], TunerConfig(total_budget=30, parallelism=1, epsilon=0.1))
+        board, state = run([ok, bad_arm], TunerConfig(budget=30, parallelism=1, epsilon=0.1))
         assert state.issued == 30
         assert state.pipelines["bad"].quarantined
         assert state.pipelines["bad"].consecutive_failures >= QUARANTINE_AFTER
@@ -445,11 +445,11 @@ class TestEngine:
             runner=lambda trial, seed: (_ for _ in ()).throw(ValueError("nope")),
         )
         with pytest.raises(AllTrialsFailed):
-            run([arm], TunerConfig(total_budget=8, parallelism=1))
+            run([arm], TunerConfig(budget=8, parallelism=1))
 
     def test_parallel_run_completes_budget(self):
         arm = make_arm("a", lambda t: 1.0 / (1 + t.trial_id))
-        board, state = run([arm], TunerConfig(total_budget=25, parallelism=5))
+        board, state = run([arm], TunerConfig(budget=25, parallelism=5))
         assert state.issued == 25
         assert len(board.entries) == 25
 
@@ -465,7 +465,7 @@ class TestEngine:
         def play():
             events = []
             arms = [make_arm("a", lossy, space=space), make_arm("b", lossy, space=space)]
-            run(arms, TunerConfig(total_budget=24, parallelism=2, seed=4), log_sink=events.append)
+            run(arms, TunerConfig(budget=24, parallelism=2, seed=4), log_sink=events.append)
             return events
 
         first = play()
@@ -480,7 +480,7 @@ class TestEngine:
 
         events = []
         arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
-        board, state = run([arm], TunerConfig(total_budget=6, parallelism=2),
+        board, state = run([arm], TunerConfig(budget=6, parallelism=2),
                            log_sink=events.append)
         assert state.issued == 6
         assert state.trials[1].state == "failed"
@@ -493,7 +493,7 @@ class TestEngine:
             return Loss(kind="rmse", value=1.0 + trial.trial_id), {"model": f"m{trial.trial_id}"}
 
         arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
-        board, state = run([arm], TunerConfig(total_budget=5, parallelism=2))
+        board, state = run([arm], TunerConfig(budget=5, parallelism=2))
         assert [e.extra for e in board.entries] == [{"model": f"m{k}"} for k in range(5)]
         assert all(t.duration is not None for t in state.trials.values())
 
@@ -508,7 +508,7 @@ class TestEngine:
             TunerArm(pipeline_id="sleeper", space=STATIC_SPACE, seeds=[], runner=sleeper),
         ]
         started = time.monotonic()
-        board, state = run(arms, TunerConfig(total_budget=20, parallelism=2, max_runtime=0.5))
+        board, state = run(arms, TunerConfig(budget=20, parallelism=2, max_runtime=0.5))
         assert time.monotonic() - started < 5
         slept = [t for t in state.trials.values() if t.pipeline_id == "sleeper"]
         assert slept and all(t.state == "failed" for t in slept)
@@ -527,7 +527,7 @@ class TestEngine:
 
         arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=slow_runner)
         board, state = run(
-            [arm], TunerConfig(total_budget=500, parallelism=1, max_runtime=0.15)
+            [arm], TunerConfig(budget=500, parallelism=1, max_runtime=0.15)
         )
         assert 1 <= state.issued < 500
         assert len(board.entries) == state.issued
@@ -535,7 +535,7 @@ class TestEngine:
     def test_budget_below_pipeline_count_rejected(self):
         arms = [make_arm(f"p{i}", lambda t: 0.5) for i in range(4)]
         with pytest.raises(ValueError):
-            run(arms, TunerConfig(total_budget=3))
+            run(arms, TunerConfig(budget=3))
 
     def test_trial_seed_is_stable_and_spread(self):
         assert trial_seed(0, 7) == trial_seed(0, 7)
@@ -544,7 +544,7 @@ class TestEngine:
 
     def test_empty_leaderboard_never_returned(self):
         board, _ = run(
-            [make_arm("a", lambda t: 0.1)], TunerConfig(total_budget=1, parallelism=1)
+            [make_arm("a", lambda t: 0.1)], TunerConfig(budget=1, parallelism=1)
         )
         assert isinstance(board, Leaderboard)
         assert board.entries
@@ -561,7 +561,11 @@ class TestTunerConfigValidation:
 
     def test_budget_positive(self):
         with pytest.raises(ValueError):
-            TunerConfig(total_budget=0)
+            TunerConfig(budget=0)
+
+    def test_gate_constants_are_not_options(self):
+        with pytest.raises(TypeError):
+            TunerConfig(gate_suggested=3)
 
 
 class TestLeaderboardBuild:
