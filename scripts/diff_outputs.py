@@ -9,7 +9,10 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
 - the synthetic inputs (`data/`): `make_regression_csv` (300 rows, seed 17),
   `make_multiclass_csv` (240 rows, seed 2), `make_imbalanced_csv` (1 000 rows,
   seed 1) and a 100 000-row `make_imbalanced_csv` (seed 5);
-- one job directory per command: `fit`, `rerun` of its candidates, a GP-EI
+- one job directory per command: `fit`, `rerun` of its candidates, `rerun`
+  of a hand-edited copy of them (a comment and a blank line added to every
+  section, `[resources]` moved after `[provenance]`, and the `n_trees` range
+  of `baseline_gbt` narrowed to `int(10, 60)`), a GP-EI
   `rerun` of its `linear_*` definitions, `analyze`, `generate`, two `analyze`
   runs with a `--problem-type` the target cannot take, a multiclass `fit`,
   a one-trial `rerun` of `baseline_gbt` on the 1 000-row table, `predict`
@@ -57,6 +60,16 @@ def _job(cmd, data, target, out, *extra):
     return [cmd, "--input", f"data/{data}", "--target", target, "--output-dir", out, *extra]
 
 
+def _hand_edited(text: str) -> str:
+    """A definition file as a person might edit it, with the same meaning:
+    each section gets a comment and a blank line, and `[resources]` moves to
+    the end of the file."""
+    text, provenance = text.rstrip("\n").split("\n\n[provenance]\n")
+    text, resources = text.split("\n\n[resources]\n")
+    text += f"\n\n[provenance]\n{provenance}\n\n[resources]\n{resources}\n"
+    return re.sub(r"^(\[[a-z]+\])$", r"\1\n  # edited by hand\n", text, flags=re.M)
+
+
 def _steps(out: Path):
     """(name, argv) pairs in run order; later steps read the jobs earlier ones wrote."""
     yield "reg_fit", _job("fit", "regression.csv", "response", "reg_fit",
@@ -64,6 +77,16 @@ def _steps(out: Path):
     yield "reg_rerun", _job("rerun", "regression.csv", "response", "reg_rerun",
                             "--definitions", "reg_fit/candidates",
                             "--budget", "12", "--seed", "3", *TUNE)
+    edited = out / "data" / "edited_defs"
+    edited.mkdir()
+    for path in sorted((out / "reg_fit" / "candidates").glob("*.pipeline")):
+        text = _hand_edited(path.read_text(encoding="utf-8"))
+        if path.name == "baseline_gbt.pipeline":
+            text = text.replace("n_trees = int(10, 300)", "n_trees = int(10, 60)")
+        (edited / path.name).write_text(text, encoding="utf-8")
+    yield "reg_edited_rerun", _job("rerun", "regression.csv", "response", "reg_edited_rerun",
+                                   "--definitions", "data/edited_defs",
+                                   "--budget", "12", "--seed", "3", *TUNE)
     linear = out / "data" / "linear_defs"
     linear.mkdir()
     for path in sorted((out / "reg_fit" / "candidates").glob("linear_*")):

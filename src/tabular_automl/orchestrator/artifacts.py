@@ -2,9 +2,11 @@
 
 Everything here is deterministic given its inputs (sorted keys, repr
 floats, no timestamps) so seeded reruns can be compared byte-for-byte.
-JSON, fold and matrix files are written whole or not at all: a writer that
-is killed or raises leaves the target as it was (at worst a stray
-`.<name>.<pid>.tmp` beside it after a kill), never a truncated file.
+Every file written through `replacing` (JSON, folds, matrices, and the
+job's `report.md`, the predict CSV and the zeroshot table) is written whole
+or not at all: a writer that is killed or raises leaves the target as it was
+(at worst a stray `.<name>.<pid>.tmp` beside it after a kill), never a
+truncated file.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ def ensure_layout(output_dir) -> Path:
 
 
 @contextlib.contextmanager
-def _replacing(path, newline=None):
+def replacing(path, newline=None):
     """A text file to write in place of `path`: a temp file in its directory,
     moved onto `path` when the block ends and removed if the block raises."""
     path = Path(path)
@@ -51,7 +53,7 @@ def dump_json(obj, path, compact=False) -> None:
         text = json.dumps(obj, separators=(",", ":"), sort_keys=True)
     else:
         text = json.dumps(obj, indent=2, sort_keys=True)
-    with _replacing(path) as f:
+    with replacing(path) as f:
         f.write(text + "\n")
 
 
@@ -60,7 +62,7 @@ def load_json(path):
 
 
 def write_fold_csv(t: RawTable, path) -> None:
-    with _replacing(path, newline="") as f:
+    with replacing(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(t.column_names)
         for row in t.cells:
@@ -68,7 +70,7 @@ def write_fold_csv(t: RawTable, path) -> None:
 
 
 def write_matrix_csv(X: np.ndarray, y: np.ndarray, target_name: str, path) -> None:
-    with _replacing(path, newline="") as f:
+    with replacing(path, newline="") as f:
         w = csv.writer(f)
         w.writerow([f"f{j}" for j in range(X.shape[1])] + [target_name])
         for i in range(X.shape[0]):

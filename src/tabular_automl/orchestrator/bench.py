@@ -16,12 +16,11 @@ from .. import learners
 from ..data_core import ProblemType, RawTable, load_csv
 from ..errors import ValidationError
 from ..learners.metrics import Loss
-from ..strategy import Strategy, apply_preprocessor, execute_preprocessing, realize
+from ..strategy import Strategy, apply_preprocessor
 from ..strategy.builtin import GBT_SEEDS
 from ..transforms import encode_labels
 from . import artifacts
-from .job import JobConfig, analyze_table, load_trial_model, run_fit, split_table
-from .job import train_and_score
+from .job import JobConfig, analyze_table, load_trial_model, run_fit, score_strategy, split_table
 
 TEST_FRACTION = 0.1
 BASELINE_HP = dict(GBT_SEEDS[0])  # subsample 1.0: seed-independent
@@ -81,9 +80,7 @@ def baseline_loss(rest: RawTable, test: RawTable, cfg: JobConfig) -> Loss:
     """
     analysis = analyze_table(rest, cfg.seed, cfg.valid_fraction, cfg.problem_override)
     strategy = Strategy(id="bench_baseline", algorithm="gbt", seeds=[dict(BASELINE_HP)])
-    d = realize(strategy, analysis.schema, analysis.profiles, analysis.mf, analysis.problem)
-    prep = execute_preprocessing(d, analysis.train, test)
-    return train_and_score(d, prep, d.space.clamp(BASELINE_HP), analysis, cfg.seed)[1]
+    return score_strategy(strategy, BASELINE_HP, analysis, cfg.seed, test)
 
 
 def _run_one(ds: BenchDataset, cfg: JobConfig) -> BenchResult:

@@ -29,6 +29,7 @@ from ..zeroshot import (
     selection_to_portfolio,
 )
 from . import job
+from .artifacts import replacing
 from .bench import BenchDataset, run_bench
 
 EXIT_OK = 0
@@ -129,21 +130,18 @@ def _report_exit(report: job.JobReport) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    return _report_exit(job.run_analyze(_merged_job_config(args)))
+# The subcommands that run one job: name, help, and the `job.run_*` that runs it.
+_JOB_COMMANDS = (
+    ("analyze", "profile the data and write a report", job.run_analyze),
+    ("generate", "analysis plus editable pipeline definitions", job.run_generate),
+    ("fit", "full run: generate candidates, tune, train", job.run_fit),
+    ("rerun", "re-run edited definition files verbatim", job.run_rerun),
+)
 
 
-def cmd_generate(args) -> int:
-    return _report_exit(job.run_generate(_merged_job_config(args)))
-
-
-def cmd_fit(args) -> int:
-    return _report_exit(job.run_fit(_merged_job_config(args)))
-
-
-def cmd_rerun(args) -> int:
-    cfg = _merged_job_config(args)
-    return _report_exit(job.run_rerun(cfg, args.definitions))
+def cmd_job(args) -> int:
+    extra = [args.definitions] if args.command == "rerun" else []
+    return _report_exit(args.run(_merged_job_config(args), *extra))
 
 
 def cmd_predict(args) -> int:
@@ -155,7 +153,7 @@ def cmd_predict(args) -> int:
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     # Rows are zipped from whole columns; csv writes each float as its repr.
-    with open(out, "w", encoding="utf-8", newline="") as f:
+    with replacing(out, newline="") as f:
         w = csv.writer(f)
         if meta["problem_kind"] == "regression":
             w.writerow(["prediction"])
@@ -187,6 +185,9 @@ def _manifest(path, cls, names: dict = _PUBLIC_NAMES, skip=()):
     if not isinstance(datasets, list) or not datasets:
         raise _UsageError("config needs a non-empty 'datasets' list")
     datasets = [_dataset(entry) for entry in datasets]
+    ids = [ds.dataset_id for ds in datasets]
+    if len(set(ids)) < len(ids):
+        raise _UsageError(f"dataset ids must be unique, got {ids}")
     if not out:
         raise _UsageError("config needs 'output_dir'")
     _check_type("output_dir", out, str)
@@ -262,22 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="profile the data and write a report")
-    _add_job_flags(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("generate", help="analysis plus editable pipeline definitions")
-    _add_job_flags(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("fit", help="full run: generate candidates, tune, train")
-    _add_job_flags(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("rerun", help="re-run edited definition files verbatim")
-    _add_job_flags(p)
-    p.add_argument("--definitions", required=True, help="definition file or directory")
-    p.set_defaults(func=cmd_rerun)
+    for name, help_text, run in _JOB_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        _add_job_flags(p)
+        p.set_defaults(func=cmd_job, run=run)
+        if name == "rerun":
+            p.add_argument("--definitions", required=True, help="definition file or directory")
 
     p = sub.add_parser("predict", help="score new rows with a trained model artifact")
     p.add_argument("--model", required=True, help="models/trial_<k>.json from a fit job")

@@ -37,6 +37,7 @@ from ..errors import AutomlError, OptionOutOfRange, WrongProblemType
 from ..schema import SchemaReport, build_schema
 from ..strategy import (
     PipelineDefinition,
+    Strategy,
     StrategyPortfolio,
     builtin_portfolio,
     execute_preprocessing,
@@ -269,9 +270,8 @@ def _render_markdown(report: JobReport, analysis: Optional[Analysis]) -> str:
 
 def _write_report(job: _Job) -> None:
     artifacts.dump_json(asdict(job.report), job.out / "report" / "report.json")
-    (job.out / "report" / "report.md").write_text(
-        _render_markdown(job.report, job.analysis), encoding="utf-8"
-    )
+    with artifacts.replacing(job.out / "report" / "report.md") as f:
+        f.write(_render_markdown(job.report, job.analysis))
 
 
 def _analyze(job: _Job) -> None:
@@ -327,6 +327,17 @@ def train_and_score(
     model = learners.train(d.algorithm, prep.X_train, prep.y_train, hp, weights=weights, seed=seed)
     preds = learners.predict(model, prep.X_valid)
     return model, learners.evaluate(preds, prep.y_valid, analysis.problem)
+
+
+def score_strategy(
+    s: Strategy, hp: dict, analysis: Analysis, seed: int, valid: Optional[RawTable] = None
+) -> learners.Loss:
+    """The loss of strategy `s` at `hp` (clamped into its space), realized on
+    `analysis` and trained by `train_and_score` on its train fold. It is
+    scored on `valid`, or on the analysis's own valid fold when not given."""
+    d = realize(s, analysis.schema, analysis.profiles, analysis.mf, analysis.problem)
+    prep = execute_preprocessing(d, analysis.train, analysis.valid if valid is None else valid)
+    return train_and_score(d, prep, d.space.clamp(hp), analysis, seed)[1]
 
 
 def _make_arm(d: PipelineDefinition, prep, out: Path, analysis: Analysis) -> TunerArm:

@@ -16,7 +16,7 @@ from ..data_core import ColumnProfile, MetaFeatures, ProblemType
 from ..errors import NoApplicableStrategy, RealizationMismatch
 from ..learners import HpSpace, default_hp_space
 from ..schema import ColumnType, SchemaReport
-from ..transforms import TransformerSpec
+from ..transforms import INT_PARAMS, TransformerSpec
 
 SYMBOLS = ("X1", "X2", "X3", "X4")
 DEFAULT_BINDINGS = {"X1": 10.0, "X2": 5.0, "X3": 100.0, "X4": 0.5}
@@ -167,12 +167,11 @@ def _resolve_value(v, bindings: dict, mf: MetaFeatures):
 
 
 def _concrete_params(action: dict, bindings: dict, mf: MetaFeatures) -> dict:
+    ints = INT_PARAMS.get(action["kind"], {})
     out = {}
     for name, v in action.get("params", {}).items():
         resolved = _resolve_value(v, bindings, mf)
-        if name in ("bins", "k", "max_features"):
-            resolved = int(round(resolved))
-        out[name] = resolved
+        out[name] = int(round(resolved)) if name in ints else resolved
     return out
 
 

@@ -1,15 +1,16 @@
 """Pipeline definition files: a line-oriented, human-editable text format.
 
-One file per pipeline, sections in fixed order. Serialization is canonical
-(sorted keys, repr floats) so generated files round-trip byte-identically;
-hand-edited files may normalize on re-serialization but parse losslessly.
+One file per pipeline. Serialization is canonical (sections in a fixed
+order, sorted keys, repr floats) so generated files round-trip
+byte-identically; hand-edited files, whose sections may come in any order,
+may normalize on re-serialization but parse losslessly.
 """
 from __future__ import annotations
 
 import json
 import re
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, NoReturn, Union
 
 from ..data_core import PROBLEM_KINDS
 from ..errors import ParseError, ValidationError
@@ -106,19 +107,14 @@ def serialize_definitions(defs: list[PipelineDefinition], path) -> list[Path]:
     return written
 
 
-class _Reader:
-    def __init__(self, text: str, path):
-        self.lines = text.split("\n")
-        self.path = path
-
-    def fail(self, line_no: int, message: str, kind=ParseError):
-        raise kind(message, path=self.path, line=line_no)
+def _fail(path, n: int, message: str, kind=ParseError) -> NoReturn:
+    raise kind(message, path=path, line=n)
 
 
-def _parse_transformer_line(rd: _Reader, n: int, line: str) -> TransformerSpec:
+def _parse_transformer_line(path, n: int, line: str) -> TransformerSpec:
     m = _TRANSFORMER_RE.match(line)
     if not m:
-        rd.fail(n, f"cannot parse transformer line: {line!r}")
+        _fail(path, n, f"cannot parse transformer line: {line!r}")
     kind, raw_params, raw_cols = m.group(1), m.group(2), m.group(3)
     params = {}
     if raw_params:
@@ -127,156 +123,148 @@ def _parse_transformer_line(rd: _Reader, n: int, line: str) -> TransformerSpec:
             if not piece:
                 continue
             if "=" not in piece:
-                rd.fail(n, f"transformer parameter {piece!r} is not name=value")
+                _fail(path, n, f"transformer parameter {piece!r} is not name=value")
             pname, pval = (p.strip() for p in piece.split("=", 1))
             val = _parse_value(pval)
             if isinstance(val, str):
-                rd.fail(n, f"transformer parameter {pname!r} must be numeric")
+                _fail(path, n, f"transformer parameter {pname!r} must be numeric")
             params[pname] = val
     columns = None
     if raw_cols:
         try:
             columns = json.loads(f"[{raw_cols}]")
         except json.JSONDecodeError:
-            rd.fail(n, f"cannot parse column list: {raw_cols!r}")
+            _fail(path, n, f"cannot parse column list: {raw_cols!r}")
         if not all(isinstance(c, str) for c in columns):
-            rd.fail(n, "column names must be quoted strings")
+            _fail(path, n, "column names must be quoted strings")
     try:
         return TransformerSpec(kind=kind, params=params, select_columns=columns)
     except ValueError as exc:
-        rd.fail(n, str(exc), kind=ValidationError)
+        _fail(path, n, str(exc), ValidationError)
 
 
-def _parse_domain_line(rd: _Reader, n: int, name: str, raw: str) -> HpDomain:
+def _parse_domain_line(path, n: int, name: str, raw: str) -> HpDomain:
     m = _DOMAIN_RE.match(raw)
     if not m:
-        rd.fail(n, f"cannot parse tunable domain: {raw!r}")
+        _fail(path, n, f"cannot parse tunable domain: {raw!r}")
     kind, lo_s, hi_s = m.groups()
     lo, hi = _parse_value(lo_s), _parse_value(hi_s)
     if isinstance(lo, str) or isinstance(hi, str):
-        rd.fail(n, "domain bounds must be numeric")
+        _fail(path, n, "domain bounds must be numeric")
     try:
         return HpDomain(name=name, kind=kind, lo=float(lo), hi=float(hi))
     except ValueError as exc:
-        rd.fail(n, str(exc), kind=ValidationError)
+        _fail(path, n, str(exc), ValidationError)
 
 
-def parse_definition_text(text: str, path="<input>") -> PipelineDefinition:
-    rd = _Reader(text, path)
-    section: Optional[str] = None
-    pipeline_kv: dict = {}
-    transformers: list[TransformerSpec] = []
-    statics: dict = {}
-    tunables: list[HpDomain] = []
-    seeds: list[dict] = []
-    resources: dict = {}
-    saw_resources = False
-    provenance: dict = {"firings": []}
-    seen_sections: set[str] = set()
-
-    for n, raw in enumerate(rd.lines, start=1):
+def _sections(lines: list[str], path) -> dict[str, list[tuple[int, str]]]:
+    """Each section's content lines with their line numbers; blank lines and
+    comments dropped. Every fault of the file's section structure fails here."""
+    sections: dict[str, list[tuple[int, str]]] = {}
+    body = None
+    for n, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _SECTION_RE.match(line)
-        if m:
-            section = m.group(1)
-            if section not in SECTIONS:
-                rd.fail(n, f"unknown section [{section}]")
-            if section in seen_sections:
-                rd.fail(n, f"duplicate section [{section}]")
-            seen_sections.add(section)
-            if section == "resources":
-                saw_resources = True
-            continue
-        if section is None:
-            rd.fail(n, f"content before any section: {line!r}")
+        if m is None:
+            if body is None:
+                _fail(path, n, f"content before any section: {line!r}")
+            body.append((n, line))
+        elif m.group(1) not in SECTIONS:
+            _fail(path, n, f"unknown section [{m.group(1)}]")
+        elif m.group(1) in sections:
+            _fail(path, n, f"duplicate section [{m.group(1)}]")
+        else:
+            body = sections[m.group(1)] = []
+    for required in SECTIONS[:5]:  # [resources] and [provenance] may be left out
+        if required not in sections:
+            _fail(path, len(lines), f"missing required section [{required}]")
+    return sections
 
-        if section == "pipeline":
-            kv = _KV_RE.match(line)
-            if not kv:
-                rd.fail(n, f"expected key = value, got {line!r}")
-            pipeline_kv[kv.group(1)] = (n, kv.group(2).strip())
-        elif section == "transformers":
-            transformers.append(_parse_transformer_line(rd, n, line))
-        elif section == "algorithm":
-            kv = _KV_RE.match(line)
-            if not kv:
-                rd.fail(n, f"expected key = value, got {line!r}")
-            key, raw_val = kv.group(1), kv.group(2).strip()
-            if key == "name":
-                if raw_val not in ALGORITHMS:
-                    rd.fail(n, f"unknown algorithm {raw_val!r}", kind=ValidationError)
-                statics["__name__"] = raw_val
-            else:
-                statics[key] = _parse_value(raw_val)
-        elif section == "tunables":
-            kv = _KV_RE.match(line)
-            if not kv:
-                rd.fail(n, f"expected name = domain(...), got {line!r}")
-            tunables.append(_parse_domain_line(rd, n, kv.group(1), kv.group(2).strip()))
-        elif section == "seeds":
-            try:
-                seed = json.loads(line)
-            except json.JSONDecodeError as exc:
-                rd.fail(n, f"seed is not valid JSON: {exc}")
-            if not isinstance(seed, dict):
-                rd.fail(n, "seed must be a JSON object")
-            seeds.append(seed)
-        elif section == "resources":
-            kv = _KV_RE.match(line)
-            if not kv:
-                rd.fail(n, f"expected key = value, got {line!r}")
-            resources[kv.group(1)] = _parse_value(kv.group(2).strip())
-        elif section == "provenance":
-            kv = _KV_RE.match(line)
-            if not kv:
-                rd.fail(n, f"expected key = value, got {line!r}")
-            key, raw_val = kv.group(1), kv.group(2).strip()
-            if key == "strategy":
-                provenance["strategy"] = raw_val
-            elif key == "firing":
-                try:
-                    provenance["firings"].append(json.loads(raw_val))
-                except json.JSONDecodeError as exc:
-                    rd.fail(n, f"firing is not valid JSON: {exc}")
-            else:
-                rd.fail(n, f"unknown provenance key {key!r}")
 
-    for required in ("pipeline", "transformers", "algorithm", "tunables", "seeds"):
-        if required not in seen_sections:
-            rd.fail(len(rd.lines), f"missing required section [{required}]")
+def _key_values(body, path, expected="key = value") -> Iterator[tuple[int, str, str]]:
+    """A section's `key = value` lines as (line number, key, raw value)."""
+    for n, line in body:
+        m = _KV_RE.match(line)
+        if not m:
+            _fail(path, n, f"expected {expected}, got {line!r}")
+        yield n, m.group(1), m.group(2).strip()
 
-    if "id" not in pipeline_kv:
-        rd.fail(1, "missing pipeline id", kind=ValidationError)
-    id_line, pipeline_id = pipeline_kv["id"]
+
+def parse_definition_text(text: str, path="<input>") -> PipelineDefinition:
+    lines = text.split("\n")
+    sections = _sections(lines, path)
+
+    pipeline = {key: (n, value) for n, key, value in _key_values(sections["pipeline"], path)}
+    if "id" not in pipeline:
+        _fail(path, 1, "missing pipeline id", ValidationError)
+    id_line, pipeline_id = pipeline["id"]
     if not _ID_RE.match(pipeline_id):
-        rd.fail(id_line, f"invalid pipeline id {pipeline_id!r}", kind=ValidationError)
-    if "problem" not in pipeline_kv:
-        rd.fail(id_line, "missing problem kind", kind=ValidationError)
-    prob_line, problem_kind = pipeline_kv["problem"]
+        _fail(path, id_line, f"invalid pipeline id {pipeline_id!r}", ValidationError)
+    if "problem" not in pipeline:
+        _fail(path, id_line, "missing problem kind", ValidationError)
+    prob_line, problem_kind = pipeline["problem"]
     if problem_kind not in PROBLEM_KINDS:
-        rd.fail(prob_line, f"unknown problem kind {problem_kind!r}", kind=ValidationError)
+        _fail(path, prob_line, f"unknown problem kind {problem_kind!r}", ValidationError)
     n_classes = None
-    if "classes" in pipeline_kv:
-        cls_line, raw_classes = pipeline_kv["classes"]
-        parsed = _parse_value(raw_classes)
-        if not isinstance(parsed, int) or parsed < 2:
-            rd.fail(cls_line, f"classes must be an integer >= 2, got {raw_classes!r}", kind=ValidationError)
-        n_classes = parsed
+    if "classes" in pipeline:
+        cls_line, raw_classes = pipeline["classes"]
+        n_classes = _parse_value(raw_classes)
+        if not isinstance(n_classes, int) or n_classes < 2:
+            _fail(path, cls_line, f"classes must be an integer >= 2, got {raw_classes!r}",
+                  ValidationError)
     if problem_kind != "regression" and n_classes is None:
-        rd.fail(prob_line, "classification definitions need a classes line", kind=ValidationError)
+        _fail(path, prob_line, "classification definitions need a classes line", ValidationError)
 
-    if "__name__" not in statics:
-        rd.fail(len(rd.lines), "missing algorithm name", kind=ValidationError)
-    algorithm = statics.pop("__name__")
+    transformers = [_parse_transformer_line(path, n, line) for n, line in sections["transformers"]]
 
+    algorithm, statics = None, {}
+    for n, key, value in _key_values(sections["algorithm"], path):
+        if key != "name":
+            statics[key] = _parse_value(value)
+        elif value not in ALGORITHMS:
+            _fail(path, n, f"unknown algorithm {value!r}", ValidationError)
+        else:
+            algorithm = value
+
+    tunables = [_parse_domain_line(path, n, name, raw) for n, name, raw
+                in _key_values(sections["tunables"], path, "name = domain(...)")]
+
+    seeds = []
+    for n, line in sections["seeds"]:
+        try:
+            seeds.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            _fail(path, n, f"seed is not valid JSON: {exc}")
+        if not isinstance(seeds[-1], dict):
+            _fail(path, n, "seed must be a JSON object")
+
+    resources = None
+    if "resources" in sections:
+        resources = {key: _parse_value(value)
+                     for _, key, value in _key_values(sections["resources"], path)}
+
+    provenance = {"strategy": pipeline_id, "firings": []}
+    for n, key, value in _key_values(sections.get("provenance", []), path):
+        if key == "strategy":
+            provenance["strategy"] = value
+        elif key == "firing":
+            try:
+                provenance["firings"].append(json.loads(value))
+            except json.JSONDecodeError as exc:
+                _fail(path, n, f"firing is not valid JSON: {exc}")
+        else:
+            _fail(path, n, f"unknown provenance key {key!r}")
+
+    if algorithm is None:
+        _fail(path, len(lines), "missing algorithm name", ValidationError)
     try:
         space = HpSpace(statics=statics, tunables=tunables)
     except ValueError as exc:
-        rd.fail(len(rd.lines), str(exc), kind=ValidationError)
+        _fail(path, len(lines), str(exc), ValidationError)
     if len(seeds) > 5:
-        rd.fail(len(rd.lines), "at most 5 zero-shot seeds", kind=ValidationError)
+        _fail(path, len(lines), "at most 5 zero-shot seeds", ValidationError)
 
     return PipelineDefinition(
         pipeline_id=pipeline_id,
@@ -286,8 +274,8 @@ def parse_definition_text(text: str, path="<input>") -> PipelineDefinition:
         algorithm=algorithm,
         space=space,
         seeds=seeds,
-        resources=resources if saw_resources else None,
-        provenance={"strategy": provenance.get("strategy", pipeline_id), "firings": provenance["firings"]},
+        resources=resources,
+        provenance=provenance,
     )
 
 

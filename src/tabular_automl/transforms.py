@@ -29,6 +29,9 @@ from .errors import (
 
 COLUMN_KINDS = ("impute_mean", "standardize", "one_hot", "quantile_bin", "log_transform", "tfidf")
 MATRIX_KINDS = ("pca",)
+# The integer parameters each kind takes, with their least values; a kind
+# not listed takes none.
+INT_PARAMS = {"quantile_bin": {"bins": 2}, "tfidf": {"max_features": 1}, "pca": {"k": 1}}
 
 ONE_HOT_MAX_CATEGORIES = 1000
 OTHER_CATEGORY = "<other>"
@@ -56,12 +59,14 @@ class TransformerSpec:
     def __post_init__(self):
         if self.kind not in COLUMN_KINDS + MATRIX_KINDS:
             raise ValueError(f"unknown transformer kind {self.kind!r}")
-        if self.kind == "quantile_bin" and self.params.get("bins", 2) < 2:
-            raise ValueError("quantile_bin requires bins >= 2")
-        if self.kind == "pca" and self.params.get("k", 1) < 1:
-            raise ValueError("pca requires k >= 1")
-        if self.kind == "tfidf" and self.params.get("max_features", 1) < 1:
-            raise ValueError("tfidf requires max_features >= 1")
+        least = INT_PARAMS.get(self.kind, {})
+        if set(self.params) != set(least):
+            raise ValueError(f"{self.kind} parameters must be {sorted(least)},"
+                             f" got {sorted(self.params)}")
+        for name, lo in least.items():
+            value = self.params[name]
+            if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+                raise ValueError(f"{self.kind} requires an integer {name} >= {lo}, got {value!r}")
 
 
 @dataclass

@@ -19,14 +19,9 @@ import numpy as np
 
 from .data_core import DEFAULT_VALID_FRACTION
 from .errors import OptionOutOfRange, TooLarge
-from .orchestrator.job import Analysis, train_and_score
-from .strategy import (
-    Strategy,
-    StrategyPortfolio,
-    execute_preprocessing,
-    is_applicable,
-    realize,
-)
+from .orchestrator.artifacts import dump_json, replacing
+from .orchestrator.job import Analysis, score_strategy
+from .strategy import Strategy, StrategyPortfolio, is_applicable
 from .strategy.core import load_portfolio, save_portfolio  # noqa: F401 (re-exported)
 from .strategy.core import strategy_from_dict, strategy_to_dict
 
@@ -97,9 +92,7 @@ def _evaluate_cell(config: ZeroShotConfig, handle: DatasetHandle, seed: int) -> 
     a = handle.analysis
     if not is_applicable(config.strategy, a.schema, a.mf):
         raise ValueError(f"strategy {config.strategy.id} not applicable to {handle.id}")
-    definition = realize(config.strategy, a.schema, a.profiles, a.mf, a.problem)
-    prep = execute_preprocessing(definition, a.train, a.valid)
-    return train_and_score(definition, prep, definition.space.clamp(config.hp), a, seed)[1].value
+    return score_strategy(config.strategy, config.hp, a, seed).value
 
 
 def build_performance_table(
@@ -242,7 +235,8 @@ def render_table_csv(P: PerformanceTable) -> str:
 def save_performance_table(P: PerformanceTable, csv_path) -> None:
     """CSV of losses plus a JSON sidecar with full config descriptors."""
     csv_path = Path(csv_path)
-    csv_path.write_text(render_table_csv(P), encoding="utf-8")
+    with replacing(csv_path) as f:
+        f.write(render_table_csv(P))
     sidecar = {
         "normalization": P.normalization,
         "dataset_ids": list(P.dataset_ids),
@@ -250,9 +244,7 @@ def save_performance_table(P: PerformanceTable, csv_path) -> None:
             {"strategy": strategy_to_dict(c.strategy), "hp": dict(c.hp)} for c in P.configs
         ],
     }
-    csv_path.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    dump_json(sidecar, csv_path.with_suffix(".json"))
 
 
 def load_performance_table(csv_path) -> PerformanceTable:

@@ -890,6 +890,20 @@ class TestInputsCheckedBeforeAnyRead:
         assert str(cfg) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["zeroshot", "bench"])
+    def test_repeated_dataset_id_is_usage_error(
+        self, tmp_path, small_regression_csv, multiclass_csv, capsys, command
+    ):
+        out = tmp_path / "out"
+        small = {"max_configs": 1, "k": 1} if command == "zeroshot" else {"budget": 8}
+        datasets = [{"id": "x", "path": small_regression_csv, "target": "response"},
+                    {"id": "x", "path": str(multiclass_csv), "target": "stage"}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"datasets": datasets, "output_dir": str(out)} | small))
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        assert "dataset ids must be unique" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "old, new",
         [("epochs = int(5, 100)", "epochs = int(5, inf)"),

@@ -320,6 +320,17 @@ PARSER_ERRORS = {
                           "domain bounds must be numeric", "max_depth = int(two, 9)"),
     "log_lo_not_positive": ("log_float(0.01, 0.5)", "log_float(0, 0.5)", ValidationError,
                             "log domain needs lo > 0", "learning_rate = log_float(0, 0.5)"),
+    "fractional_bins": ("bins=5", "bins=2.5", ValidationError, "integer bins >= 2",
+                        'quantile_bin(bins=2.5) on "amount"'),
+    "float_bins": ("bins=5", "bins=5.0", ValidationError, "integer bins >= 2",
+                   'quantile_bin(bins=5.0) on "amount"'),
+    "misspelt_param": ("bins=5", "bnis=5", ValidationError, "quantile_bin parameters must be",
+                       'quantile_bin(bnis=5) on "amount"'),
+    "bare_quantile_bin": ("quantile_bin(bins=5)", "quantile_bin", ValidationError,
+                          "quantile_bin parameters must be ['bins']", 'quantile_bin on "amount"'),
+    "param_of_no_param_kind": ('standardize on "other"', 'standardize(scale=2) on "other"',
+                               ValidationError, "standardize parameters must be []",
+                               'standardize(scale=2) on "other"'),
 }
 
 
