@@ -76,20 +76,6 @@ class HpDomain:
         x = self.lo + u * (self.hi - self.lo)
         return int(round(x)) if self.kind == INT else float(x)
 
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "kind": self.kind}
-        if self.kind == CATEGORICAL:
-            d["choices"] = self.choices
-        else:
-            d["lo"], d["hi"] = self.lo, self.hi
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HpDomain":
-        return cls(
-            name=d["name"], kind=d["kind"], lo=d.get("lo"), hi=d.get("hi"), choices=d.get("choices")
-        )
-
 
 @dataclass
 class HpSpace:
@@ -135,16 +121,6 @@ class HpSpace:
         config = dict(self.statics)
         config.update({d.name: d.from_unit(x) for d, x in zip(self.tunables, u)})
         return config
-
-    def to_dict(self) -> dict:
-        return {"statics": dict(self.statics), "tunables": [d.to_dict() for d in self.tunables]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HpSpace":
-        return cls(
-            statics=dict(d.get("statics", {})),
-            tunables=[HpDomain.from_dict(t) for t in d.get("tunables", [])],
-        )
 
 
 def default_hp_space(algorithm: str, problem: ProblemType, n_rows: int, n_cols: int) -> HpSpace:

@@ -1,25 +1,22 @@
-"""Artifact writers: canonical JSON, fold CSVs, transformed matrices, logs.
+"""Job artifacts: the directory layout, fold CSVs, transformed matrices,
+the trial log and the leaderboard document.
 
 Everything here is deterministic given its inputs (sorted keys, repr
 floats, no timestamps) so seeded reruns can be compared byte-for-byte.
-Every file written through `replacing` (JSON, folds, matrices, and the
-job's `report.md`, the predict CSV and the zeroshot table) is written whole
-or not at all: a writer that is killed or raises leaves the target as it was
-(at worst a stray `.<name>.<pid>.tmp` beside it after a kill), never a
-truncated file.
+Every file but the append-only trial log is written through
+`files.replacing`, whole or not at all; `dump_json`, `load_json` and
+`replacing` are `files`' own, imported here by name.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
-import os
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from ..data_core import RawTable
+from ..files import dump_json, load_json, replacing  # noqa: F401 (re-exported)
 
 SUBDIRS = ("report", "folds", "candidates", "transformed", "models")
 
@@ -29,36 +26,6 @@ def ensure_layout(output_dir) -> Path:
     for sub in SUBDIRS:
         (out / sub).mkdir(parents=True, exist_ok=True)
     return out
-
-
-@contextlib.contextmanager
-def replacing(path, newline=None):
-    """A text file to write in place of `path`: a temp file in its directory,
-    moved onto `path` when the block ends and removed if the block raises."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def dump_json(obj, path, compact=False) -> None:
-    """Sorted-key JSON: one line with the C encoder when `compact`, for
-    models; `indent=2` otherwise, for documents people read."""
-    if compact:
-        text = json.dumps(obj, separators=(",", ":"), sort_keys=True)
-    else:
-        text = json.dumps(obj, indent=2, sort_keys=True)
-    with replacing(path) as f:
-        f.write(text + "\n")
-
-
-def load_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def write_fold_csv(t: RawTable, path) -> None:

@@ -14,7 +14,8 @@ from typing import Optional
 
 from .. import learners
 from ..data_core import ProblemType, RawTable, load_csv
-from ..errors import ValidationError
+from ..errors import OptionOutOfRange, ValidationError
+from ..files import is_plain_name
 from ..learners.metrics import Loss
 from ..strategy import Strategy, apply_preprocessor
 from ..strategy.builtin import GBT_SEEDS
@@ -32,6 +33,11 @@ class BenchDataset:
     path: str
     target: str
     problem_override: Optional[str] = None
+
+    def __post_init__(self):
+        if not is_plain_name(self.dataset_id):
+            raise OptionOutOfRange(f"dataset id {self.dataset_id!r} must be a plain file name"
+                                   " (letters, digits, _ . -, not . or ..)")
 
 
 @dataclass

@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import sys
 import typing
 from pathlib import Path
@@ -15,6 +14,7 @@ from pathlib import Path
 from .. import learners
 from ..data_core import PROBLEM_KINDS, load_csv, load_feature_csv
 from ..errors import OptionOutOfRange
+from ..files import load_json, replacing
 from ..strategy import apply_preprocessor, builtin_portfolio
 from ..strategy.core import save_portfolio
 from ..zeroshot import (
@@ -29,7 +29,6 @@ from ..zeroshot import (
     selection_to_portfolio,
 )
 from . import job
-from .artifacts import replacing
 from .bench import BenchDataset, run_bench
 
 EXIT_OK = 0
@@ -55,11 +54,10 @@ def _add_job_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:
-            raise _UsageError(f"{path}: config is not valid JSON: {exc}") from None
+    try:
+        doc = load_json(path)
+    except ValueError as exc:
+        raise _UsageError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _UsageError(f"{path}: config must be a JSON object")
     return doc

@@ -111,6 +111,7 @@ class _Job:
     out: Path
     report: JobReport
     analysis: Optional[Analysis] = None
+    portfolio: Optional[StrategyPortfolio] = None
     defs: list[PipelineDefinition] = field(default_factory=list)
 
 
@@ -194,12 +195,6 @@ def analyze_table(
         imbalance=imbalance,
         n_dropped=n_dropped,
     )
-
-
-def _portfolio(cfg: JobConfig) -> StrategyPortfolio:
-    if cfg.portfolio_path:
-        return load_portfolio(cfg.portfolio_path)
-    return builtin_portfolio()
 
 
 def generate_definitions(analysis: Analysis, portfolio: StrategyPortfolio) -> list[PipelineDefinition]:
@@ -297,9 +292,16 @@ def _write_candidates(job: _Job) -> None:
     job.report.candidates = [p.name for p in paths]
 
 
+def _load_portfolio(job: _Job) -> None:
+    """The portfolio phase: read and check `portfolio_path` (or take the
+    built-in portfolio) before any data is read."""
+    path = job.cfg.portfolio_path
+    job.portfolio = load_portfolio(path) if path else builtin_portfolio()
+
+
 def _generate(job: _Job) -> None:
     started = time.monotonic()
-    job.defs = generate_definitions(job.analysis, _portfolio(job.cfg))
+    job.defs = generate_definitions(job.analysis, job.portfolio)
     _write_candidates(job)
     job.report.timings["generate_s"] = time.monotonic() - started
 
@@ -435,13 +437,14 @@ def run_analyze(cfg: JobConfig) -> JobReport:
 
 
 def run_generate(cfg: JobConfig) -> JobReport:
-    """Candidate generation: analysis + folds + definition files. No training."""
-    return _run(cfg, [_analyze, _write_folds, _generate])
+    """Candidate generation: analysis + folds + definition files. No training.
+    The portfolio is read first, so a bad one fails before any data is read."""
+    return _run(cfg, [_load_portfolio, _analyze, _write_folds, _generate])
 
 
 def run_fit(cfg: JobConfig) -> JobReport:
     """Full job: generation then candidate exploration."""
-    return _run(cfg, [_analyze, _write_folds, _generate, _fit])
+    return _run(cfg, [_load_portfolio, _analyze, _write_folds, _generate, _fit])
 
 
 def run_rerun(cfg: JobConfig, definitions_path) -> JobReport:

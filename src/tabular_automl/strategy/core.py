@@ -7,16 +7,16 @@ substitutes every symbol and pins columns, yielding a PipelineDefinition.
 """
 from __future__ import annotations
 
-import json
+import typing
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from ..data_core import ColumnProfile, MetaFeatures, ProblemType
 from ..errors import NoApplicableStrategy, RealizationMismatch
-from ..learners import HpSpace, default_hp_space
+from ..files import dump_json, is_plain_name, load_json
+from ..learners import ALGORITHMS, HpSpace, default_hp_space
 from ..schema import ColumnType, SchemaReport
-from ..transforms import INT_PARAMS, TransformerSpec
+from ..transforms import COLUMN_KINDS, INT_PARAMS, MATRIX_KINDS, TransformerSpec
 
 SYMBOLS = ("X1", "X2", "X3", "X4")
 DEFAULT_BINDINGS = {"X1": 10.0, "X2": 5.0, "X3": 100.0, "X4": 0.5}
@@ -34,6 +34,33 @@ _OPS = {
 }
 
 
+def _numeric_fields(cls) -> tuple:
+    return tuple(sorted(name for name, hint in typing.get_type_hints(cls).items()
+                        if hint in (int, float, Optional[int], Optional[float])))
+
+
+# What a rule of each scope takes: its transformer kinds and the fields its
+# condition may test. `round_mul` multiplies by a meta-feature in both.
+_SCOPES = {
+    SINGLE_COLUMN: (COLUMN_KINDS, _numeric_fields(ColumnProfile)),
+    MULTI_COLUMN: (MATRIX_KINDS, _numeric_fields(MetaFeatures)),
+}
+
+
+def _is_value(v) -> bool:
+    """A number or a symbol."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)) or v in SYMBOLS
+
+
+def _is_param(v) -> bool:
+    """A value, or {"round_mul": [value, meta-feature]}."""
+    if isinstance(v, dict) and list(v) == ["round_mul"]:
+        factor = v["round_mul"]
+        return (isinstance(factor, list) and len(factor) == 2 and _is_value(factor[0])
+                and factor[1] in _SCOPES[MULTI_COLUMN][1])
+    return _is_value(v)
+
+
 @dataclass
 class StrategyRule:
     scope: str  # single_column | multi_column
@@ -46,6 +73,19 @@ class StrategyRule:
             raise ValueError(f"bad rule scope {self.scope!r}")
         if self.scope == SINGLE_COLUMN and self.column_type is None:
             raise ValueError("single-column rule needs a column_type")
+        kinds, fields = _SCOPES[self.scope]
+        kind, params = self.action.get("kind"), self.action.get("params", {})
+        if kind not in kinds:
+            raise ValueError(f"{self.scope} rules take {', '.join(kinds)}, got {kind!r}")
+        names = sorted(INT_PARAMS.get(kind, {}))
+        if sorted(params) != names or not all(map(_is_param, params.values())):
+            raise ValueError(f"{kind} takes the parameters {names}, each a number, a symbol"
+                             f" or round_mul, got {params}")
+        cond = self.condition
+        if cond is not None and not (set(cond) == {"field", "op", "value"} and cond["field"]
+                                     in fields and cond["op"] in _OPS and _is_value(cond["value"])):
+            raise ValueError(f"a {self.scope} condition tests one of {', '.join(fields)} by one"
+                             f" of {' '.join(_OPS)} against a number or a symbol, got {cond}")
 
 
 @dataclass
@@ -57,6 +97,10 @@ class Strategy:
     seeds: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
+        if not is_plain_name(self.id):
+            raise ValueError(f"strategy id {self.id!r} must be a plain file name")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if len(self.seeds) > 5:
             raise ValueError("at most 5 zero-shot seeds per strategy")
         for sym in self.bindings:
@@ -119,34 +163,36 @@ def strategy_to_dict(s: Strategy) -> dict:
 
 
 def strategy_from_dict(d: dict) -> Strategy:
-    rules = [
-        StrategyRule(
-            scope=r["scope"],
-            column_type=ColumnType(r["column_type"]) if r.get("column_type") else None,
-            condition=r.get("condition"),
-            action=r["action"],
+    """The strategy `d` describes; a rule or value its checks reject raises
+    `ValueError` naming the strategy."""
+    try:
+        rules = [
+            StrategyRule(
+                scope=r["scope"],
+                column_type=ColumnType(r["column_type"]) if r.get("column_type") else None,
+                condition=r.get("condition"),
+                action=r["action"],
+            )
+            for r in d.get("rules", [])
+        ]
+        return Strategy(
+            id=d["id"],
+            algorithm=d["algorithm"],
+            rules=rules,
+            bindings=dict(d.get("bindings", DEFAULT_BINDINGS)),
+            seeds=[dict(seed) for seed in d.get("seeds", [])],
         )
-        for r in d.get("rules", [])
-    ]
-    return Strategy(
-        id=d["id"],
-        algorithm=d["algorithm"],
-        rules=rules,
-        bindings=dict(d.get("bindings", DEFAULT_BINDINGS)),
-        seeds=[dict(seed) for seed in d.get("seeds", [])],
-    )
+    except ValueError as exc:
+        raise ValueError(f"strategy {d.get('id')!r}: {exc}") from None
 
 
 def save_portfolio(portfolio: StrategyPortfolio, path) -> None:
-    doc = {
-        "metadata": portfolio.metadata,
-        "strategies": [strategy_to_dict(s) for s in portfolio.strategies],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    dump_json({"metadata": portfolio.metadata,
+               "strategies": [strategy_to_dict(s) for s in portfolio.strategies]}, path)
 
 
 def load_portfolio(path) -> StrategyPortfolio:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = load_json(path)
     return StrategyPortfolio(
         strategies=[strategy_from_dict(s) for s in doc["strategies"]],
         metadata=doc.get("metadata", {}),

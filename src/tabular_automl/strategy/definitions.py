@@ -14,6 +14,7 @@ from typing import Iterator, NoReturn, Union
 
 from ..data_core import PROBLEM_KINDS
 from ..errors import ParseError, ValidationError
+from ..files import is_plain_name, replacing
 from ..learners import ALGORITHMS, HpDomain, HpSpace
 from ..transforms import TransformerSpec
 from .core import PipelineDefinition
@@ -21,7 +22,6 @@ from .core import PipelineDefinition
 HEADER = "# pipeline definition v1"
 SECTIONS = ("pipeline", "transformers", "algorithm", "tunables", "seeds", "resources", "provenance")
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _SECTION_RE = re.compile(r"^\[([a-z_]+)\]$")
 _KV_RE = re.compile(r"^([A-Za-z0-9_]+)\s*=\s*(.*)$")
 _TRANSFORMER_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?(?:\s+on\s+(.+))?$")
@@ -53,7 +53,7 @@ def _parse_value(raw: str) -> Union[int, float, str]:
 
 def serialize_definition(d: PipelineDefinition) -> str:
     """Render one definition in canonical text form."""
-    if not _ID_RE.match(d.pipeline_id):
+    if not is_plain_name(d.pipeline_id):
         raise ValueError(f"pipeline id {d.pipeline_id!r} is not filesystem-safe")
     lines = [HEADER, "", "[pipeline]", f"id = {d.pipeline_id}", f"problem = {d.problem_kind}"]
     if d.n_classes is not None:
@@ -102,7 +102,8 @@ def serialize_definitions(defs: list[PipelineDefinition], path) -> list[Path]:
     written = []
     for d in defs:
         target = directory / f"{d.pipeline_id}.pipeline"
-        target.write_text(serialize_definition(d), encoding="utf-8")
+        with replacing(target) as f:
+            f.write(serialize_definition(d))
         written.append(target)
     return written
 
@@ -200,7 +201,7 @@ def parse_definition_text(text: str, path="<input>") -> PipelineDefinition:
     if "id" not in pipeline:
         _fail(path, 1, "missing pipeline id", ValidationError)
     id_line, pipeline_id = pipeline["id"]
-    if not _ID_RE.match(pipeline_id):
+    if not is_plain_name(pipeline_id):
         _fail(path, id_line, f"invalid pipeline id {pipeline_id!r}", ValidationError)
     if "problem" not in pipeline:
         _fail(path, id_line, "missing problem kind", ValidationError)

@@ -6,10 +6,8 @@ enumerates k-subsets (test oracle, guarded); the greedy solver scales.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +17,7 @@ import numpy as np
 
 from .data_core import DEFAULT_VALID_FRACTION
 from .errors import OptionOutOfRange, TooLarge
-from .orchestrator.artifacts import dump_json, replacing
+from .files import dump_json, replacing
 from .orchestrator.job import Analysis, score_strategy
 from .strategy import Strategy, StrategyPortfolio, is_applicable
 from .strategy.core import load_portfolio, save_portfolio  # noqa: F401 (re-exported)
@@ -215,12 +213,6 @@ def selection_to_portfolio(P: PerformanceTable, sel: PortfolioSelection) -> Stra
     )
 
 
-def select_hp_seeds(P: PerformanceTable, k: int = 5) -> list[dict]:
-    """Greedy k-row selection where rows are HP-only configs; returns the HPs."""
-    sel = select_portfolio_greedy(P, min(k, len(P.configs)))
-    return [dict(P.configs[i].hp) for i in sel.indices]
-
-
 def table_hash(P: PerformanceTable) -> str:
     return hashlib.sha256(render_table_csv(P).encode("utf-8")).hexdigest()
 
@@ -245,23 +237,4 @@ def save_performance_table(P: PerformanceTable, csv_path) -> None:
         ],
     }
     dump_json(sidecar, csv_path.with_suffix(".json"))
-
-
-def load_performance_table(csv_path) -> PerformanceTable:
-    csv_path = Path(csv_path)
-    with open(csv_path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    dataset_ids = rows[0][1:]
-    losses = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-    sidecar = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
-    configs = [
-        ZeroShotConfig(strategy=strategy_from_dict(c["strategy"]), hp=dict(c["hp"]))
-        for c in sidecar["configs"]
-    ]
-    return PerformanceTable(
-        losses=losses,
-        configs=configs,
-        dataset_ids=dataset_ids,
-        normalization=sidecar["normalization"],
-    )
 

@@ -229,6 +229,34 @@ class TestGenerate:
             assert section in text
 
 
+class TestPortfolioReadFirst:
+    @pytest.mark.parametrize("command", ["generate", "fit"])
+    def test_bad_rule_fails_the_job_before_any_fold_is_written(
+        self, tmp_path, small_regression_csv, command
+    ):
+        from tabular_automl.strategy import builtin_portfolio
+        from tabular_automl.strategy.core import strategy_to_dict
+
+        strategies = [strategy_to_dict(s) for s in builtin_portfolio().strategies
+                      if s.id in ("baseline_gbt", "gbt_binned")]
+        strategies[1]["rules"][0]["action"]["kind"] = "quantile_bn"
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps({"metadata": {}, "strategies": strategies}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"portfolio_path": str(portfolio)}))
+        out = tmp_path / "out"
+        code = main([command, "--input", small_regression_csv, "--target", "response",
+                     "--output-dir", str(out), "--budget", "8", "--config", str(cfg)])
+        assert code == EXIT_FAILURE
+        report = json.loads((out / "report" / "report.json").read_text())
+        assert report["status"] == "failed"
+        assert report["message"].startswith("ValueError: strategy 'gbt_binned': ")
+        assert "'quantile_bn'" in report["message"]
+        assert report["problem_kind"] is None
+        assert list((out / "folds").iterdir()) == []
+        assert list((out / "candidates").iterdir()) == []
+
+
 class TestFitArtifacts:
     def test_budget_respected_and_best_recorded(self, fit_job):
         report = json.loads((fit_job / "report" / "report.json").read_text())
@@ -903,6 +931,20 @@ class TestInputsCheckedBeforeAnyRead:
         assert main([command, "--config", str(cfg)]) == EXIT_USAGE
         assert "dataset ids must be unique" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dataset_id", ["../../escaped", "a/b", ".."])
+    @pytest.mark.parametrize("command", ["zeroshot", "bench"])
+    def test_dataset_id_that_is_not_a_plain_name_is_usage_error(
+        self, tmp_path, small_regression_csv, capsys, command, dataset_id
+    ):
+        out = tmp_path / "bench" / "out"
+        small = {"max_configs": 1, "k": 1} if command == "zeroshot" else {"budget": 8}
+        datasets = [{"id": dataset_id, "path": small_regression_csv, "target": "response"}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"datasets": datasets, "output_dir": str(out)} | small))
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        assert f"dataset id {dataset_id!r} must be a plain file name" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize(
         "old, new",

@@ -413,11 +413,6 @@ class TestHpSpaces:
         with pytest.raises(ValueError, match="epochs: need"):
             HpDomain("epochs", kind, lo, hi)
 
-    def test_space_round_trip(self):
-        space = default_hp_space("gbt", REGRESSION, 500, 8)
-        clone = HpSpace.from_dict(json.loads(json.dumps(space.to_dict())))
-        assert clone.to_dict() == space.to_dict()
-
     @given(st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_unit_cube_round_trip(self, seed):

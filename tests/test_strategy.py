@@ -168,6 +168,76 @@ class TestRealize:
         assert d.seeds[0]["n_trees"] == 100
 
 
+def unknown_kind(rule):
+    rule["action"]["kind"] = "quantile_bn"
+
+
+def matrix_kind_on_a_column(rule):
+    rule["action"] = {"kind": "pca", "params": {"k": 2}}
+
+
+def column_kind_on_the_matrix(rule):
+    rule["action"] = {"kind": "standardize", "params": {}}
+
+
+def misspelt_param(rule):
+    rule["action"]["params"] = {"bnis": "X2"}
+
+
+def param_of_no_param_kind(rule):
+    rule["action"] = {"kind": "log_transform", "params": {"base": 10}}
+
+
+def unknown_symbol(rule):
+    rule["action"]["params"] = {"bins": "X9"}
+
+
+def round_mul_by_a_profile_field(rule):
+    rule["action"]["params"] = {"k": {"round_mul": ["X4", "skewness"]}}
+
+
+def unknown_op(rule):
+    rule["condition"]["op"] = "=>"
+
+
+def meta_field_on_a_column(rule):
+    rule["condition"]["field"] = "n_rows"
+
+
+def profile_field_on_the_matrix(rule):
+    rule["condition"]["field"] = "skewness"
+
+
+def dict_field(rule):
+    rule["condition"]["field"] = "percentiles"
+
+
+def value_not_a_number(rule):
+    rule["condition"]["value"] = "two"
+
+
+def condition_without_value(rule):
+    del rule["condition"]["value"]
+
+
+# (builtin strategy, edit of its first rule, fragment of the message)
+RULE_ERRORS = [
+    ("gbt_binned", unknown_kind, "single_column rules take impute_mean"),
+    ("gbt_binned", matrix_kind_on_a_column, "got 'pca'"),
+    ("gbt_pca_wide", column_kind_on_the_matrix, "multi_column rules take pca, got 'standardize'"),
+    ("gbt_binned", misspelt_param, "quantile_bin takes the parameters ['bins']"),
+    ("gbt_log_skew", param_of_no_param_kind, "log_transform takes the parameters []"),
+    ("gbt_binned", unknown_symbol, "'X9'"),
+    ("gbt_pca_wide", round_mul_by_a_profile_field, "'skewness'"),
+    ("gbt_log_skew", unknown_op, "'=>'"),
+    ("gbt_log_skew", meta_field_on_a_column, "'n_rows'"),
+    ("gbt_pca_wide", profile_field_on_the_matrix, "'skewness'"),
+    ("gbt_log_skew", dict_field, "'percentiles'"),
+    ("gbt_robust_numeric", value_not_a_number, "'two'"),
+    ("gbt_robust_numeric", condition_without_value, "a single_column condition tests one of"),
+]
+
+
 class TestStrategyValidation:
     def test_at_most_five_seeds(self):
         with pytest.raises(ValueError):
@@ -202,6 +272,25 @@ class TestStrategyValidation:
         clone = strategy_from_dict(json.loads(json.dumps(strategy_to_dict(s))))
         assert strategy_to_dict(clone) == strategy_to_dict(s)
 
+    @pytest.mark.parametrize("strategy_id, edit, fragment", RULE_ERRORS,
+                             ids=[case[1].__name__ for case in RULE_ERRORS])
+    def test_rule_the_realizer_cannot_use_is_rejected_when_built(self, strategy_id, edit, fragment):
+        d = strategy_to_dict(strategy_by_id(strategy_id))
+        edit(d["rules"][0])
+        with pytest.raises(ValueError) as exc:
+            strategy_from_dict(d)
+        assert str(exc.value).startswith(f"strategy {strategy_id!r}: ")
+        assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("key, value, fragment",
+                             [("algorithm", "forest", "unknown algorithm 'forest'"),
+                              ("id", "..", "strategy id '..' must be a plain file name"),
+                              ("id", "a/b", "strategy id 'a/b' must be a plain file name")])
+    def test_unknown_algorithm_or_unsafe_id_rejected(self, key, value, fragment):
+        d = strategy_to_dict(strategy_by_id("baseline_gbt")) | {key: value}
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            strategy_from_dict(d)
+
 
 def realized_example():
     schema, profiles = schema_for(
@@ -224,7 +313,7 @@ class TestDefinitionFiles:
         assert parsed.pipeline_id == d.pipeline_id
         assert parsed.problem_kind == d.problem_kind
         assert parsed.algorithm == d.algorithm
-        assert parsed.space.to_dict() == d.space.to_dict()
+        assert parsed.space == d.space
         assert parsed.seeds == d.seeds
         assert [s.kind for s in parsed.transformers] == [s.kind for s in d.transformers]
 
@@ -290,6 +379,10 @@ PARSER_ERRORS = {
                    HEADER),
     "invalid_id": ("id = gbt_robust_numeric", "id = no spaces", ValidationError,
                    "invalid pipeline id", "id = no spaces"),
+    "parent_dir_id": ("id = gbt_robust_numeric", "id = ..", ValidationError,
+                      "invalid pipeline id", "id = .."),
+    "current_dir_id": ("id = gbt_robust_numeric", "id = .", ValidationError,
+                       "invalid pipeline id", "id = ."),
     "unknown_problem": ("problem = regression", "problem = regresion", ValidationError,
                         "unknown problem kind", "problem = regresion"),
     "one_class": ("problem = regression", "problem = regression\nclasses = 1",

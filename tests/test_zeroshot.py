@@ -18,16 +18,12 @@ from tabular_automl.zeroshot import (
     PerformanceTable,
     ZeroShotConfig,
     build_performance_table,
-    load_performance_table,
     load_portfolio,
     normalize,
-    save_performance_table,
     save_portfolio,
-    select_hp_seeds,
     select_portfolio_exact,
     select_portfolio_greedy,
     selection_to_portfolio,
-    table_hash,
 )
 
 
@@ -106,11 +102,6 @@ class TestGreedy:
         rng = np.random.default_rng(5)
         P = make_table(rng.uniform(size=(7, 4)))
         assert select_portfolio_greedy(P, 1).indices == select_portfolio_exact(P, 1).indices
-
-    def test_hp_seed_helper_returns_selected_configs(self):
-        P = make_table(TRADEOFF)
-        seeds = select_hp_seeds(P, k=2)
-        assert seeds == [{"n": 2}, {"n": 0}]
 
 
 class TestNormalize:
@@ -231,16 +222,6 @@ class TestTableValidation:
 
 
 class TestPersistence:
-    def test_table_round_trip(self, tmp_path):
-        P = make_table([[0.25, 1.5], [0.75, 0.125]])
-        path = tmp_path / "perf.csv"
-        save_performance_table(P, path)
-        loaded = load_performance_table(path)
-        assert np.array_equal(loaded.losses, P.losses)
-        assert loaded.dataset_ids == P.dataset_ids
-        assert table_hash(loaded) == table_hash(P)
-        assert [c.strategy.id for c in loaded.configs] == [c.strategy.id for c in P.configs]
-
     def test_portfolio_round_trip(self, tmp_path):
         P = make_table(TRADEOFF)
         sel = select_portfolio_greedy(P, 2)
