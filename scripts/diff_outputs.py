@@ -15,7 +15,8 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
   of `baseline_gbt` narrowed to `int(10, 60)`), a GP-EI
   `rerun` of its `linear_*` definitions, `analyze`, `generate`, two `analyze`
   runs with a `--problem-type` the target cannot take, a multiclass `fit`,
-  a one-trial `rerun` of `baseline_gbt` on the 1 000-row table, `predict`
+  the same `fit` at `--parallelism 2` (forked trials, whose GBT class
+  chains may be boosted in borrowed slots), a one-trial `rerun` of `baseline_gbt` on the 1 000-row table, `predict`
   with the best model of each fit, and `analyze` and
   `predict` (with the `imb_fit` and the `baseline_gbt` models) on the
   100 000-row table;
@@ -101,6 +102,8 @@ def _steps(out: Path):
                                      "--problem-type", kind)
     yield "mc_fit", _job("fit", "multiclass.csv", "stage", "mc_fit",
                          "--budget", "8", "--seed", "1", *TUNE)
+    yield "mc_fit_par2", _job("fit", "multiclass.csv", "stage", "mc_fit_par2",
+                              "--budget", "8", "--seed", "1", "--parallelism", "2")
     yield "mc_analyze", _job("analyze", "multiclass.csv", "stage", "mc_analyze")
     yield "mc_generate", _job("generate", "multiclass.csv", "stage", "mc_generate")
     yield "imb_fit", _job("fit", "imbalanced.csv", "churned", "imb_fit",

@@ -115,6 +115,10 @@ class DegenerateHistory(AutomlError):
     """Surrogate model cannot be fit (all observed losses identical)."""
 
 
+class WorkerDied(AutomlError):
+    """A helper process of a trial exited without sending its result."""
+
+
 # --- warnings ---
 
 class ClassTooSmallWarning(UserWarning):

@@ -3,7 +3,9 @@
 Second-order (Newton) boosting: each tree fits −g/(h+λ) with gain
 ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)]. Multiclass is one-vs-rest with
 per-class sigmoid scores normalized at predict time. Row subsampling draws
-from a per-tree RNG stream so tree construction order never matters.
+from a per-tree RNG stream, so tree construction order never matters: each
+class chain is boosted on its own, and in a forked trial with an idle slot
+some chains are boosted by helper processes (`slots.share`).
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import slots
 from ..errors import ArityMismatch, NonFiniteInput, SingleClass
 from .linear import _sigmoid
 
@@ -177,23 +180,28 @@ def train_gbt(
             p = float(np.clip(np.average(yk, weights=weights), 1e-6, 1 - 1e-6))
             base.append(float(np.log(p / (1 - p))))
 
-    scores = [np.full(n, b) for b in base]
-    trees: list[list[dict]] = []
-    for t in range(n_trees):
-        rows = _subsample_rows(n, subsample, seed, t)
-        round_trees = []
-        for c, yk in enumerate(chains):
+    def boost(c: int) -> list[dict]:
+        """Chain c's trees in round order. They depend on c alone: the
+        chain's scores see only its own trees, and round t's subsample rows
+        only `(seed, t)`, so the chains may be boosted in any order or place."""
+        yk = chains[c]
+        score = np.full(n, base[c])
+        chain_trees = []
+        for t in range(n_trees):
+            rows = _subsample_rows(n, subsample, seed, t)
             if loss == "squared_error":
-                g = (scores[c] - yk) * weights
+                g = (score - yk) * weights
                 h = weights.copy()
             else:
-                p = _sigmoid(scores[c])
+                p = _sigmoid(score)
                 g = (p - yk) * weights
                 h = np.maximum(p * (1 - p), MIN_HESSIAN) * weights
             tree = _build_tree(X, g, h, rows, 0, max_depth, min_child_rows)
-            scores[c] += lr * _apply_tree(tree, X)
-            round_trees.append(tree)
-        trees.append(round_trees)
+            score += lr * _apply_tree(tree, X)
+            chain_trees.append(tree)
+        return chain_trees
+
+    trees = [list(round_trees) for round_trees in zip(*slots.share(len(chains), boost))]
 
     if loss == "squared_error":
         problem_kind, n_classes = "regression", None

@@ -17,11 +17,19 @@ from ..data_core import ProblemType, RawTable, load_csv
 from ..errors import OptionOutOfRange, ValidationError
 from ..files import is_plain_name
 from ..learners.metrics import Loss
-from ..strategy import Strategy, apply_preprocessor
+from ..strategy import Strategy, StrategyPortfolio, apply_preprocessor
 from ..strategy.builtin import GBT_SEEDS
 from ..transforms import encode_labels
 from . import artifacts
-from .job import JobConfig, analyze_table, load_trial_model, run_fit, score_strategy, split_table
+from .job import (
+    JobConfig,
+    analyze_table,
+    job_portfolio,
+    load_trial_model,
+    run_fit,
+    score_strategy,
+    split_table,
+)
 
 TEST_FRACTION = 0.1
 BASELINE_HP = dict(GBT_SEEDS[0])  # subsample 1.0: seed-independent
@@ -89,7 +97,7 @@ def baseline_loss(rest: RawTable, test: RawTable, cfg: JobConfig) -> Loss:
     return score_strategy(strategy, BASELINE_HP, analysis, cfg.seed, test)
 
 
-def _run_one(ds: BenchDataset, cfg: JobConfig) -> BenchResult:
+def _run_one(ds: BenchDataset, cfg: JobConfig, portfolio: StrategyPortfolio) -> BenchResult:
     result = BenchResult(dataset_id=ds.dataset_id, status="failed")
     try:
         split = split_table(load_csv(ds.path, ds.target), cfg.seed, TEST_FRACTION,
@@ -98,7 +106,7 @@ def _run_one(ds: BenchDataset, cfg: JobConfig) -> BenchResult:
 
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         artifacts.write_fold_csv(rest, cfg.input_path)
-        report = run_fit(cfg)
+        report = run_fit(cfg, portfolio)
         if report.status != "completed":
             result.message = report.message or f"job status {report.status}"
             return result
@@ -119,7 +127,8 @@ def _run_one(ds: BenchDataset, cfg: JobConfig) -> BenchResult:
 def run_bench(datasets: list[BenchDataset], output_dir, **job_args) -> BenchSummary:
     """Fit and score every dataset. `job_args` are JobConfig fields such as
     `budget` or `seed`; the ones not given keep JobConfig's defaults. Every
-    job's config is built, and so checked, before any directory is made."""
+    job's config is built, and so checked, and the portfolio is read once,
+    before any dataset is read or any directory is made."""
     if not datasets:
         raise ValidationError("benchmark needs at least one dataset")
     out = Path(output_dir)
@@ -127,10 +136,11 @@ def run_bench(datasets: list[BenchDataset], output_dir, **job_args) -> BenchSumm
     cfgs = [JobConfig(input_path=str(jobs_dir / ds.dataset_id / "input.csv"),
                       output_dir=str(jobs_dir / ds.dataset_id), target=ds.target,
                       problem_override=ds.problem_override, **job_args) for ds in datasets]
+    portfolio = job_portfolio(cfgs[0])
     jobs_dir.mkdir(parents=True, exist_ok=True)
 
     summary = BenchSummary()
-    summary.results = [_run_one(ds, cfg) for ds, cfg in zip(datasets, cfgs)]
+    summary.results = [_run_one(ds, cfg, portfolio) for ds, cfg in zip(datasets, cfgs)]
 
     done = [r for r in summary.results if r.status == "completed"]
     summary.success_rate = len(done) / len(summary.results)

@@ -292,11 +292,17 @@ def _write_candidates(job: _Job) -> None:
     job.report.candidates = [p.name for p in paths]
 
 
+def job_portfolio(cfg: JobConfig) -> StrategyPortfolio:
+    """The portfolio at `cfg.portfolio_path`, read and checked, or the
+    built-in one."""
+    return load_portfolio(cfg.portfolio_path) if cfg.portfolio_path else builtin_portfolio()
+
+
 def _load_portfolio(job: _Job) -> None:
-    """The portfolio phase: read and check `portfolio_path` (or take the
-    built-in portfolio) before any data is read."""
-    path = job.cfg.portfolio_path
-    job.portfolio = load_portfolio(path) if path else builtin_portfolio()
+    """The portfolio phase, before any data is read: the one the job was
+    given, or `job_portfolio`."""
+    if job.portfolio is None:
+        job.portfolio = job_portfolio(job.cfg)
 
 
 def _generate(job: _Job) -> None:
@@ -414,13 +420,18 @@ def _fit(job: _Job) -> None:
     report.status = "completed"
 
 
-def _run(cfg: JobConfig, phases: list[Callable[[_Job], None]]) -> JobReport:
+def _run(
+    cfg: JobConfig,
+    phases: list[Callable[[_Job], None]],
+    portfolio: Optional[StrategyPortfolio] = None,
+) -> JobReport:
     """Run the phases in order, then write the report, whatever happened.
 
     A job that stops before the fit phase is `generated_only`; the first
     exception ends the job as `failed` with the message `<ExcType>: <msg>`.
     """
-    job = _Job(cfg, artifacts.ensure_layout(cfg.output_dir), JobReport(status="generated_only"))
+    job = _Job(cfg, artifacts.ensure_layout(cfg.output_dir), JobReport(status="generated_only"),
+               portfolio=portfolio)
     try:
         for phase in phases:
             phase(job)
@@ -442,9 +453,10 @@ def run_generate(cfg: JobConfig) -> JobReport:
     return _run(cfg, [_load_portfolio, _analyze, _write_folds, _generate])
 
 
-def run_fit(cfg: JobConfig) -> JobReport:
-    """Full job: generation then candidate exploration."""
-    return _run(cfg, [_load_portfolio, _analyze, _write_folds, _generate, _fit])
+def run_fit(cfg: JobConfig, portfolio: Optional[StrategyPortfolio] = None) -> JobReport:
+    """Full job: generation then candidate exploration. A `portfolio` given
+    here is used as it is, and `cfg.portfolio_path` is not read."""
+    return _run(cfg, [_load_portfolio, _analyze, _write_folds, _generate, _fit], portfolio)
 
 
 def run_rerun(cfg: JobConfig, definitions_path) -> JobReport:

@@ -8,17 +8,27 @@ over in-memory matrices, so nothing is pickled on the way in) and sends
 back only `(loss, payload, error, duration)`. Results are applied in
 trial-id order, and trial k is issued only after trials 0..k-P have been
 applied, so the trial log depends on P but never on timing.
+
+At P > 1 the run also has P training slots (`slots.Slots`). Each trial is
+forked into a slot of its own, waiting for one if need be, and gives it
+back when its runner returns. While it trains it may borrow slots left
+idle to boost GBT class chains in helper processes. So at most P processes
+train at once. Each trial leads its own process group, so a trial that is
+killed, or dies, takes its helpers with it.
 """
 from __future__ import annotations
 
+import os
+import signal
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .. import slots
 from ..errors import AllTrialsFailed, Exhausted
 from ..learners import HpSpace, Loss
 from .bandit import (
@@ -105,9 +115,84 @@ def _execute(trial: Trial, arm: TunerArm, cfg: TunerConfig):
         return None, None, traceback.format_exc(limit=3), time.monotonic() - started
 
 
-def _child(conn, trial: Trial, arm: TunerArm, cfg: TunerConfig) -> None:
-    conn.send(_execute(trial, arm, cfg))
+POLL_S = 0.05  # how often the forked run looks for trials that exited
+
+
+def _poll_for(deadline) -> float:
+    """One wait of at most POLL_S, ending at the deadline."""
+    return POLL_S if deadline is None else max(0.0, min(POLL_S, deadline - time.monotonic()))
+
+
+def _child(conn, trial: Trial, arm: TunerArm, cfg: TunerConfig, lease: slots.Lease) -> None:
+    os.setpgrp()  # the trial's helpers join its group, so killing the group ends them too
+    slots.current = lease
+    outcome = _execute(trial, arm, cfg)
+    lease.give_back()  # idle while the result waits to be applied
+    conn.send(outcome)
     conn.close()
+
+
+@dataclass
+class _Flight:
+    """A trial in flight at P > 1: its process, result pipe and slots.
+
+    Helpers forked from the trial inherit its end of the pipe, so when the
+    trial dies while they run the pipe stays open; its exit is polled too.
+    """
+
+    trial: Trial
+    proc: Any
+    recv: Any
+    lease: slots.Lease
+    started: float
+    ended: bool = False
+
+    def exited(self) -> bool:
+        """Whether the trial process has exited. It is not reaped here, so
+        its pid still names its process group."""
+        try:
+            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            return os.waitid(os.P_PID, self.proc.pid, flags) is not None
+        except ChildProcessError:  # reaped already
+            return True
+
+    def wait(self, deadline) -> bool:
+        """Wait until the trial has sent its result or exited (True), or
+        until the deadline (False)."""
+        while not (self.recv.poll(_poll_for(deadline)) or self.exited()):
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+        return True
+
+    def outcome(self):
+        """What the trial sent, or a failure if it exited without sending."""
+        if self.recv.poll():
+            try:
+                outcome = self.recv.recv()
+                self.proc.join()
+                self.lease.close()
+                return outcome
+            except EOFError:
+                pass
+        self.end()  # its helpers may still run
+        error = f"WorkerDied: trial process exited with code {self.proc.exitcode} and no result"
+        return None, None, error, time.monotonic() - self.started
+
+    def end(self) -> None:
+        """Kill the trial and the helpers in its process group, then free
+        every slot it held. Only the first call does anything."""
+        if self.ended:
+            return
+        self.ended = True
+        try:
+            # Only while the trial is unreaped is its pid sure to name its group.
+            os.waitid(os.P_PID, self.proc.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except (ChildProcessError, ProcessLookupError):
+            pass
+        self.proc.kill()
+        self.proc.join()
+        self.lease.close()
 
 
 def _log(sink, record: dict):
@@ -136,59 +221,71 @@ def _report(state: TunerState, trial: Trial, outcome, sink) -> None:
         _log(sink, {"event": "failed", "trial": trial.trial_id, "error": error.splitlines()[-1]})
 
 
-def _collect(proc, recv, started: float):
-    """The outcome a finished child sent, or a failure if it died without one."""
-    try:
-        outcome = recv.recv()
-    except EOFError:
-        outcome = None
-    recv.close()
-    proc.join()
-    if outcome is None:
-        error = f"WorkerDied: trial process exited with code {proc.exitcode} and no result"
-        outcome = (None, None, error, time.monotonic() - started)
-    return outcome
+def _next_slot(pool: slots.Slots, pending: deque, deadline) -> Optional[slots.Lease]:
+    """A slot for the next trial, or None once the deadline has passed.
+
+    While the trials in flight hold every slot, wait for one to be given
+    back; nothing is applied meanwhile, so the trial log never depends on
+    that wait. A trial that died still counts its slots and may leave
+    helpers running, so first end every trial that exited holding slots.
+    """
+    while True:
+        for flight in pending:
+            if not flight.ended and flight.lease.held[0] > 0 and flight.exited():
+                flight.end()
+        if deadline is not None and time.monotonic() >= deadline:
+            return None
+        lease = pool.lease(_poll_for(deadline))
+        if lease is not None:
+            return lease
 
 
 def _run_forked(state: TunerState, by_id: dict, cfg: TunerConfig, issue, deadline, sink) -> None:
     """Keep up to P trials in flight, one forked child each; apply in id order.
 
-    Only the head (oldest) trial's pipe is waited on, until the deadline. A
-    child that dies without sending a result reads as EOF and fails its
-    trial. Once the deadline has passed nothing more is issued, and each
-    trial still in flight when it reaches the head is killed and failed.
+    Each trial is forked into a slot (`_next_slot`). Only the head (oldest)
+    trial is waited on, until the deadline. A child that exits without
+    sending a result fails its trial. Once the deadline has passed nothing
+    more is issued, and each trial still in flight when it reaches the head
+    is killed and failed.
     """
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    pending: deque = deque()  # (trial, process, receiving end, start time)
+    pool = slots.Slots(ctx, cfg.parallelism)
+    pending: deque = deque()  # _Flight, oldest first
     try:
         while True:
-            while len(pending) < cfg.parallelism and (trial := issue()) is not None:
+            while len(pending) < cfg.parallelism and (
+                lease := _next_slot(pool, pending, deadline)
+            ) is not None:
+                trial = issue()
+                if trial is None:
+                    lease.close()
+                    break
                 recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_child, args=(send, trial, by_id[trial.pipeline_id], cfg))
+                proc = ctx.Process(
+                    target=_child, args=(send, trial, by_id[trial.pipeline_id], cfg, lease)
+                )
                 proc.start()
                 send.close()
-                pending.append((trial, proc, recv, time.monotonic()))
+                pending.append(_Flight(trial, proc, recv, lease, time.monotonic()))
             if not pending:
                 return
-            trial, proc, recv, started = pending[0]
-            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-            if recv.poll(wait):
-                outcome = _collect(proc, recv, started)
+            head = pending[0]
+            if head.wait(deadline):
+                outcome = head.outcome()
             else:
-                proc.kill()
-                proc.join()
-                recv.close()
+                head.end()
                 error = f"TimeoutError: trial killed at the {cfg.max_runtime} s wall-clock limit"
-                outcome = (None, None, error, time.monotonic() - started)
+                outcome = (None, None, error, time.monotonic() - head.started)
+            head.recv.close()
             pending.popleft()
-            _report(state, trial, outcome, sink)
+            _report(state, head.trial, outcome, sink)
     finally:
-        for _, proc, recv, _ in pending:
-            proc.kill()
-            proc.join()
-            recv.close()
+        for flight in pending:
+            flight.end()
+            flight.recv.close()
 
 
 def run(

@@ -530,9 +530,9 @@ class TestParallelFit:
         )
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"portfolio_path": str(portfolio)}))
-        boards = []
-        for p in ("1", "2"):
-            out = tmp_path / f"p{p}"
+        runs = []
+        for p in ("1", "2", "2"):
+            out = tmp_path / f"run{len(runs)}"
             code = main(
                 [
                     "fit",
@@ -546,9 +546,14 @@ class TestParallelFit:
                 ]
             )
             assert code == EXIT_OK
-            boards.append((out / "leaderboard.json").read_bytes())
-        assert len(json.loads(boards[0])["entries"]) == 6
-        assert boards[1] == boards[0]
+            files = ["leaderboard.json"] + sorted(f"models/{m.name}" for m in (out / "models").iterdir())
+            runs.append({f: (out / f).read_bytes() for f in files + ["trials.jsonl"]})
+        assert len(json.loads(runs[0]["leaderboard.json"])["entries"]) == 6
+        serial, par, par_again = runs
+        # Class chains boosted in borrowed slots leave every model byte as it was.
+        assert {f: b for f, b in par.items() if f != "trials.jsonl"} == {
+            f: b for f, b in serial.items() if f != "trials.jsonl"}
+        assert par_again == par
 
 
 class TestRerun:
@@ -758,6 +763,29 @@ class TestBenchCommand:
         assert doc["results"][0]["status"] == "completed"
         assert doc["results"][0]["dataset_id"] == "reg_small"
 
+    def test_bad_portfolio_rule_fails_before_any_dataset_is_read(
+        self, tmp_path, small_regression_csv, capsys
+    ):
+        from tabular_automl.strategy import builtin_portfolio
+        from tabular_automl.strategy.core import strategy_to_dict
+
+        strategies = [strategy_to_dict(s) for s in builtin_portfolio().strategies
+                      if s.id in ("baseline_gbt", "gbt_binned")]
+        strategies[1]["rules"][0]["action"]["kind"] = "quantile_bn"
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps({"metadata": {}, "strategies": strategies}))
+        out = tmp_path / "bench"
+        datasets = [{"id": name, "path": str(small_regression_csv), "target": "response"}
+                    for name in ("a", "b")]
+        manifest = tmp_path / "bench.json"
+        manifest.write_text(json.dumps({"datasets": datasets, "output_dir": str(out),
+                                        "budget": 8, "portfolio": str(portfolio)}))
+        assert main(["bench", "--config", str(manifest)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "ValueError: strategy 'gbt_binned': " in err and "'quantile_bn'" in err
+        assert not list(out.rglob("input.csv"))
+        assert not (out / "bench_report.json").exists()
+
     def test_unknown_manifest_key_is_usage_error(self, tmp_path, small_regression_csv, capsys):
         manifest = tmp_path / "bench.json"
         out = tmp_path / "bench"
@@ -816,7 +844,7 @@ class TestBenchCommand:
     ):
         seen = []
 
-        def fake_fit(cfg):
+        def fake_fit(cfg, portfolio):
             seen.append(cfg)
             return JobReport(status="failed", message="not run")
 

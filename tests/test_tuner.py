@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tabular_automl
+from tabular_automl import slots
 from tabular_automl.errors import (
     AllTrialsFailed,
     DegenerateHistory,
@@ -382,6 +383,20 @@ def make_arm(pid, fn, seeds=(), space=None):
     return TunerArm(pipeline_id=pid, space=space or STATIC_SPACE, seeds=list(seeds), runner=runner)
 
 
+def _ends_soon(pid: int, within: float = 3.0) -> bool:
+    """Whether process `pid` is gone or a zombie within `within` seconds."""
+    stop = time.monotonic() + within
+    while time.monotonic() < stop:
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.02)
+    return False
+
+
 class TestEngine:
     def test_budget_and_ranks(self):
         arm = make_arm("a", lambda t: 1.0 + t.trial_id * 0.1)
@@ -519,6 +534,116 @@ class TestEngine:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_deadline_kills_helpers_with_their_trial(self, tmp_path):
+        def splitter(trial, seed):
+            def work(i):
+                (tmp_path / f"{os.getpid()}.pid").touch()
+                time.sleep(0.2 if i == 0 else 30)  # the trial claims again after task 0
+
+            slots.share(6, work)
+            return Loss(kind="rmse", value=0.1), {}
+
+        arm = TunerArm(pipeline_id="split", space=STATIC_SPACE, seeds=[], runner=splitter)
+        events = []
+        started = time.monotonic()
+        with pytest.raises(AllTrialsFailed):
+            run([arm], TunerConfig(budget=1, parallelism=3, max_runtime=1.0),
+                log_sink=events.append)
+        assert time.monotonic() - started < 5
+        assert "TimeoutError" in events[-1]["error"]
+        pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+        assert len(pids) == 3  # the trial and the two helpers it borrowed idle slots for
+        for pid in pids:
+            assert _ends_soon(pid)
+
+    def test_dead_helper_fails_only_its_trial(self):
+        def runner(trial, seed):
+            trial_pid = os.getpid()
+
+            def work(i):
+                if os.getpid() != trial_pid:
+                    os._exit(3)
+                time.sleep(0.1)
+                return i
+
+            assert slots.share(4, work) == [0, 1, 2, 3]
+            return Loss(kind="rmse", value=0.5), {}
+
+        arms = [make_arm("fast", lambda t: 0.1),
+                TunerArm(pipeline_id="split", space=STATIC_SPACE, seeds=[], runner=runner)]
+        board, state = run(arms, TunerConfig(budget=2, parallelism=3))
+        split = [t for t in state.trials.values() if t.pipeline_id == "split"]
+        assert [t.state for t in split] == ["failed"]
+        assert split[0].error.splitlines()[-1].endswith(
+            "WorkerDied: helper process exited with code 3 and no result")
+        assert [e.pipeline_id for e in board.entries] == ["fast"]
+
+    @pytest.mark.parametrize("ending", ["dies", "deadline"])
+    def test_wait_for_a_slot_ends_with_the_trial_holding_them(self, tmp_path, monkeypatch,
+                                                              ending):
+        # Trial 0 gives its slot back, then is slow to send its result, so
+        # trial 1 borrows that slot. Once trial 0 is applied, the engine
+        # waits for a slot while trial 1 holds both. Trial 1 then dies, or
+        # the deadline passes; either ends the wait, and trial 1's helper.
+        slow_sender = []
+        give_back = slots.Lease.give_back
+
+        def give_back_then_dawdle(lease):
+            give_back(lease)
+            if slow_sender:
+                time.sleep(0.5)
+
+        monkeypatch.setattr(slots.Lease, "give_back", give_back_then_dawdle)
+
+        def fast(trial, seed):
+            slow_sender.append(True)
+            return Loss(kind="rmse", value=0.1), {}
+
+        def borrowing(trial, seed):
+            trial_pid = os.getpid()
+
+            def work(i):
+                if os.getpid() != trial_pid:
+                    (tmp_path / f"{os.getpid()}.pid").touch()
+                    time.sleep(30)
+                elif i > 0:
+                    time.sleep(1 if ending == "dies" else 30)
+                    os._exit(4)
+                time.sleep(0.2)
+
+            slots.share(4, work)
+            return Loss(kind="rmse", value=0.5), {}
+
+        arms = [TunerArm(pipeline_id="a_fast", space=STATIC_SPACE, seeds=[], runner=fast),
+                TunerArm(pipeline_id="b_borrowing", space=STATIC_SPACE, seeds=[],
+                         runner=borrowing)]
+        started = time.monotonic()
+        board, state = run(arms, TunerConfig(budget=3, parallelism=2,
+                                              max_runtime=20 if ending == "dies" else 1.5))
+        assert time.monotonic() - started < 3
+        assert state.trials[1].pipeline_id == "b_borrowing"
+        expected = ("WorkerDied: trial process exited with code 4" if ending == "dies"
+                    else "TimeoutError: trial killed at the 1.5 s wall-clock limit")
+        assert expected in state.trials[1].error
+        assert [e.pipeline_id for e in board.entries] == ["a_fast"] * (len(board.entries))
+        assert state.issued == (3 if ending == "dies" else 2)
+        pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+        assert len(pids) == 1
+        assert _ends_soon(pids[0])
+
+    def test_serial_run_makes_no_slots_and_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(slots, "Slots", None)
+        pids = set()
+
+        def runner(trial, seed):
+            pids.add(os.getpid())
+            slots.share(3, lambda i: pids.add(os.getpid()))
+            return Loss(kind="rmse", value=0.5), {}
+
+        arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
+        run([arm], TunerConfig(budget=3, parallelism=1))
+        assert pids == {os.getpid()}
 
     def test_deadline_stops_early_but_keeps_results(self):
         def slow_runner(trial, seed):
