@@ -16,8 +16,11 @@ The first form writes into OUT (which must not exist) with SRC, a checkout's
   `rerun` of its `linear_*` definitions, `analyze`, `generate`, two `analyze`
   runs with a `--problem-type` the target cannot take, a multiclass `fit`,
   the same `fit` at `--parallelism 2` (forked trials, whose GBT class
-  chains may be boosted in borrowed slots), a one-trial `rerun` of `baseline_gbt` on the 1 000-row table, `predict`
-  with the best model of each fit, and `analyze` and
+  chains may be boosted in borrowed slots), a one-trial `rerun` of
+  `baseline_gbt` on the 1 000-row table, a six-trial `rerun` of the same
+  file edited to `min_child_rows = int(3, 8)` and `n_trees = int(10, 40)`
+  (the seed points clamp into those ranges, so every tree has a child-size
+  limit above 1), `predict` with the best model of each fit, and `analyze` and
   `predict` (with the `imb_fit` and the `baseline_gbt` models) on the
   100 000-row table;
 - a three-dataset `bench` (regression, multiclass and the 1 000-row binary
@@ -115,6 +118,19 @@ def _steps(out: Path):
     shutil.copy(out / "imb_fit" / "candidates" / "baseline_gbt.pipeline", gbt)
     yield "imb_gbt", _job("rerun", "imbalanced.csv", "churned", "imb_gbt",
                           "--definitions", "data/gbt_defs", "--budget", "1", "--seed", "3", *TUNE)
+    # Six baseline_gbt trials with min_child_rows of 3 or more (the seed
+    # points clamp into the edited ranges), so child-size limits are checked.
+    mcr = out / "data" / "gbt_mcr_defs"
+    mcr.mkdir()
+    text = (gbt / "baseline_gbt.pipeline").read_text(encoding="utf-8")
+    text, edits = re.subn(r"^min_child_rows = int\(\d+, \d+\)$", "min_child_rows = int(3, 8)",
+                          text, flags=re.M)
+    text, more = re.subn(r"^n_trees = int\(\d+, \d+\)$", "n_trees = int(10, 40)", text, flags=re.M)
+    assert edits == more == 1, "baseline_gbt.pipeline no longer declares both ranges"
+    (mcr / "baseline_gbt.pipeline").write_text(text, encoding="utf-8")
+    yield "imb_gbt_mcr", _job("rerun", "imbalanced.csv", "churned", "imb_gbt_mcr",
+                              "--definitions", "data/gbt_mcr_defs", "--budget", "6", "--seed", "3",
+                              *TUNE)
     for job, data in (("reg_fit", "regression.csv"), ("reg_bo", "regression.csv"),
                       ("mc_fit", "multiclass.csv"), ("imb_fit", "large.csv"),
                       ("imb_gbt", "large.csv")):

@@ -6,6 +6,13 @@ per-class sigmoid scores normalized at predict time. Row subsampling draws
 from a per-tree RNG stream, so tree construction order never matters: each
 class chain is boosted on its own, and in a forked trial with an idle slot
 some chains are boosted by helper processes (`slots.share`).
+
+Each column is stably argsorted once per fit, and every chain and helper
+shares that order (after the XGBoost "column block", Chen & Guestrin, KDD
+2016, §4.1). A tree filters it to its subsample rows, and a split
+partitions it, so each node's rows stay sorted by every feature and no node
+sorts. Ties keep row order, so the trees equal those of a per-node stable
+argsort byte for byte.
 """
 from __future__ import annotations
 
@@ -59,60 +66,80 @@ def _leaf(g_sum: float, h_sum: float) -> dict:
     return {"leaf": -g_sum / (h_sum + LAMBDA)}
 
 
+def _best_split(
+    XT: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    order: np.ndarray,
+    g_sum: float,
+    h_sum: float,
+    min_child_rows: int,
+) -> Optional[tuple[int, float, float]]:
+    """(feature, last left value, threshold) of the best split, or None.
+
+    Row j of `order` is the node's rows sorted by feature j (ties by row),
+    so every feature is scored at once. The candidate split after position
+    i puts xs[:i+1] on the left and requires xs[i] < xs[i+1]; the first
+    feature with the highest gain wins. Kept apart from `_build_tree` so
+    its (d, n) temporaries are freed before the recursion."""
+    d, n = order.shape
+    if d == 0:
+        return None
+    xs = np.take_along_axis(XT, order, axis=1)
+    gl = g[order].cumsum(axis=1)[:, :-1]
+    hl = h[order].cumsum(axis=1)[:, :-1]
+    gr = g_sum - gl
+    hr = h_sum - hl
+    parent_score = g_sum * g_sum / (h_sum + LAMBDA)
+    gain = 0.5 * (gl * gl / (hl + LAMBDA) + gr * gr / (hr + LAMBDA) - parent_score)
+    valid = xs[:, :-1] != xs[:, 1:]
+    if min_child_rows > 1:
+        valid[:, : min_child_rows - 1] = False
+        valid[:, n - min_child_rows :] = False
+    gain[~valid] = -np.inf
+    at = gain.argmax(axis=1)
+    best = gain[np.arange(d), at]
+    best[~(best > MIN_GAIN)] = -np.inf  # a NaN gain never wins, as `>` never holds
+    j = int(best.argmax())
+    if best[j] == -np.inf:
+        return None
+    i = int(at[j])
+    return j, xs[j, i], (xs[j, i] + xs[j, i + 1]) / 2.0
+
+
 def _build_tree(
-    X: np.ndarray,
+    XT: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     rows: np.ndarray,
+    order: np.ndarray,
     depth: int,
     max_depth: int,
     min_child_rows: int,
 ) -> dict:
+    """The node over `rows` (ascending) and `order`, the same rows sorted by
+    each feature. Splitting keeps both orders, so no node sorts."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
     if depth >= max_depth or len(rows) < 2 * min_child_rows or len(rows) < 2:
         return _leaf(g_sum, h_sum)
-
-    parent_score = g_sum * g_sum / (h_sum + LAMBDA)
-    best_gain = MIN_GAIN
-    best = None  # (feature, threshold, left_rows_sorted_positions)
-
-    n = len(rows)
-    g_node = g[rows]
-    h_node = h[rows]
-    for j in range(X.shape[1]):
-        xj = X[rows, j]
-        order = np.argsort(xj, kind="stable")
-        xs = xj[order]
-        # candidate split after position i: left = xs[:i+1], requires xs[i] < xs[i+1]
-        gl = np.cumsum(g_node[order])[:-1]
-        hl = np.cumsum(h_node[order])[:-1]
-        gr = g_sum - gl
-        hr = h_sum - hl
-        gain = 0.5 * (gl * gl / (hl + LAMBDA) + gr * gr / (hr + LAMBDA) - parent_score)
-        valid = xs[:-1] != xs[1:]
-        if min_child_rows > 1:
-            valid[: min_child_rows - 1] = False
-            valid[n - min_child_rows :] = False
-        gain[~valid] = -np.inf
-        i = int(np.argmax(gain))
-        if gain[i] > best_gain:
-            best_gain = float(gain[i])
-            best = (j, (xs[i] + xs[i + 1]) / 2.0, order[: i + 1])
-
-    if best is None:
+    split = _best_split(XT, g, h, order, g_sum, h_sum, min_child_rows)
+    if split is None:
         return _leaf(g_sum, h_sum)
 
-    j, threshold, left_pos = best
-    left_mask = np.zeros(len(rows), dtype=bool)
-    left_mask[left_pos] = True
-    left_rows = rows[left_mask]
-    right_rows = rows[~left_mask]
+    j, last_left, threshold = split
+    row_left = XT[j].take(rows) <= last_left
+    n_left = int(np.count_nonzero(row_left))
+    go_left = XT[j].take(order) <= last_left
+    left_order = order[go_left].reshape(len(order), n_left)
+    right_order = order[~go_left].reshape(len(order), len(rows) - n_left)
     return {
         "feature": int(j),
         "threshold": float(threshold),
-        "left": _build_tree(X, g, h, left_rows, depth + 1, max_depth, min_child_rows),
-        "right": _build_tree(X, g, h, right_rows, depth + 1, max_depth, min_child_rows),
+        "left": _build_tree(XT, g, h, rows[row_left], left_order,
+                            depth + 1, max_depth, min_child_rows),
+        "right": _build_tree(XT, g, h, rows[~row_left], right_order,
+                             depth + 1, max_depth, min_child_rows),
     }
 
 
@@ -163,6 +190,8 @@ def train_gbt(
     min_child_rows = int(hp["min_child_rows"])
     subsample = float(hp["subsample"])
     n = len(y)
+    XT = np.ascontiguousarray(X.T)
+    presorted = np.argsort(XT, axis=1, kind="stable")  # once per fit, for every chain
 
     if loss == "squared_error":
         chains = [y.astype(float)]
@@ -189,6 +218,11 @@ def train_gbt(
         chain_trees = []
         for t in range(n_trees):
             rows = _subsample_rows(n, subsample, seed, t)
+            order = presorted
+            if len(rows) < n:
+                drawn = np.zeros(n, dtype=bool)
+                drawn[rows] = True
+                order = presorted[drawn[presorted]].reshape(len(XT), len(rows))
             if loss == "squared_error":
                 g = (score - yk) * weights
                 h = weights.copy()
@@ -196,7 +230,7 @@ def train_gbt(
                 p = _sigmoid(score)
                 g = (p - yk) * weights
                 h = np.maximum(p * (1 - p), MIN_HESSIAN) * weights
-            tree = _build_tree(X, g, h, rows, 0, max_depth, min_child_rows)
+            tree = _build_tree(XT, g, h, rows, order, 0, max_depth, min_child_rows)
             score += lr * _apply_tree(tree, X)
             chain_trees.append(tree)
         return chain_trees
