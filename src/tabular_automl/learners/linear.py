@@ -144,13 +144,18 @@ def train_linear(
 
     yf = y.astype(float)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    full = n - n % BATCH_SIZE
     for _ in range(epochs):
         order = rng.permutation(n)
         Xe, ye, we = X[order], yf[order], weights[order]
-        for start in range(0, n, BATCH_SIZE):
+        # every batch's weight sum in one call; a row adds up in the order its slice would
+        wsums = we[:full].reshape(-1, BATCH_SIZE).sum(axis=1).tolist()
+        if full < n:
+            wsums.append(we[full:].sum())
+        for step, start in enumerate(range(0, n, BATCH_SIZE)):
             rows = slice(start, start + BATCH_SIZE)
             _, resid = _residual(w, b, Xe[rows], ye[rows], link, we[rows])
-            gw, gb = _grad(w, Xe[rows], resid, l2, we[rows].sum())
+            gw, gb = _grad(w, Xe[rows], resid, l2, wsums[step])
             w = w - lr * gw
             b = b - lr * gb
         # inf and NaN weights never turn finite again: stop at the first such epoch

@@ -77,6 +77,7 @@ class PipelineState:
     quarantined: bool = False
     reward: float = math.inf  # best finished loss
     history: list[tuple[dict, float]] = field(default_factory=list)
+    theta: Optional[np.ndarray] = None  # the last GP fit's theta: the next fit's warm start
 
 
 class TunerState:
@@ -123,7 +124,8 @@ def _suggest_hp(p: PipelineState, cfg: TunerConfig, rng: np.random.Generator) ->
         return dict(p.space.statics)
     if p.finished >= cfg.bo_min_finished:
         try:
-            return suggest_bo(p.history, p.space, rng)
+            hp, p.theta = suggest_bo(p.history, p.space, rng, p.theta)
+            return hp
         except DegenerateHistory:
             pass
     return suggest_random(p.space, rng)

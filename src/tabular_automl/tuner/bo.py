@@ -3,10 +3,11 @@
 Inputs live in the unit cube (HpSpace handles the mapping, log domains in
 log space); targets are standardized. Kernel: Matern-5/2 with ARD
 length-scales plus observation noise, all fit by maximizing the log
-marginal likelihood with L-BFGS-B from 3 seeded starts. The acquisition is
-maximized over seeded random candidates plus local perturbations of the
-incumbent, never by gradient ascent, so integer and categorical domains
-need no special casing.
+marginal likelihood with L-BFGS-B from two starts: the default theta and
+the pipeline's previous fitted theta, or one seeded random draw on the
+pipeline's first fit. The acquisition is maximized over seeded random
+candidates plus local perturbations of the incumbent, never by gradient
+ascent, so integer and categorical domains need no special casing.
 
 scipy is imported inside the functions that use it, so a CLI process that
 never reaches GP-EI never pays scipy's import time and memory.
@@ -24,7 +25,6 @@ from ..learners import HpSpace
 SQRT5 = math.sqrt(5.0)
 JITTER = 1e-10
 
-N_RESTARTS = 3
 N_CANDIDATES = 1000
 N_LOCAL = 25
 LOCAL_SCALE = 0.05
@@ -52,6 +52,20 @@ def _matern52(r: np.ndarray, signal_var: float, e: Optional[np.ndarray] = None) 
     if e is None:
         e = np.exp(-SQRT5 * r)
     return signal_var * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * e
+
+
+def _bounds(d: int) -> list[tuple[float, float]]:
+    return [_SIGNAL_BOUNDS] + [_LENGTH_BOUNDS] * d + [_NOISE_BOUNDS]
+
+
+def default_theta(d: int) -> np.ndarray:
+    """Unit signal std and length-scales, noise std 0.1."""
+    return np.array([0.0] + [0.0] * d + [math.log(0.1)])
+
+
+def random_theta(rng: np.random.Generator, d: int) -> np.ndarray:
+    """One uniform draw from the (log-space) theta box."""
+    return np.array([lo + rng.random() * (hi - lo) for lo, hi in _bounds(d)])
 
 
 def _unpack(theta: np.ndarray, d: int):
@@ -119,18 +133,31 @@ class GaussianProcess:
         self.X: Optional[np.ndarray] = None
         self.theta: Optional[np.ndarray] = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "GaussianProcess":
+    def fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rng: np.random.Generator,
+        theta: Optional[np.ndarray] = None,
+    ) -> "GaussianProcess":
+        """Fit from two starts: the default theta and a warm one.
+
+        theta is the previous fit's theta for the same space; without it
+        the second start is one random draw from rng.
+        """
+        d = np.shape(X)[1]
+        if theta is None:
+            theta = random_theta(rng, d)
+        return self.fit_from(X, y, [default_theta(d), theta])
+
+    def fit_from(self, X: np.ndarray, y: np.ndarray, starts: list[np.ndarray]) -> "GaussianProcess":
+        """Run L-BFGS-B on the likelihood from each start, in order; keep the lowest."""
         from scipy import optimize
 
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, d = X.shape
-        bounds = [_SIGNAL_BOUNDS] + [_LENGTH_BOUNDS] * d + [_NOISE_BOUNDS]
-        starts = [np.array([0.0] + [0.0] * d + [math.log(0.1)])]
-        for _ in range(N_RESTARTS - 1):
-            starts.append(np.array([lo + rng.random() * (hi - lo) for lo, hi in bounds]))
-
-        diff, eye = _pairwise_diff(X, X), np.eye(n)
+        diff, eye, bounds = _pairwise_diff(X, X), np.eye(n), _bounds(d)
         best_val, best_theta = math.inf, starts[0]
         for theta0 in starts:
             res = optimize.minimize(
@@ -189,16 +216,23 @@ def expected_improvement(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.n
     return ei
 
 
-def suggest_bo(history: list[tuple[dict, float]], space: HpSpace, rng: np.random.Generator) -> dict:
+def suggest_bo(
+    history: list[tuple[dict, float]],
+    space: HpSpace,
+    rng: np.random.Generator,
+    theta: Optional[np.ndarray] = None,
+) -> tuple[dict, Optional[np.ndarray]]:
     """Suggest the next config by maximizing EI under a GP surrogate.
 
     history: (config, loss) pairs of finished trials for one pipeline. The
     surrogate fits the finite losses only: a finished trial can score inf
-    (finite weights that overflow on the valid fold). Raises
-    DegenerateHistory when the finite losses carry no signal.
+    (finite weights that overflow on the valid fold). theta is the
+    pipeline's previous GP theta (None before its first fit), the warm
+    start of this fit. Returns the config and the fitted theta to pass next
+    time. Raises DegenerateHistory when the finite losses carry no signal.
     """
     if not space.tunables:
-        return dict(space.statics)
+        return dict(space.statics), theta
     finite = [(cfg, loss) for cfg, loss in history if math.isfinite(loss)]
     if len(finite) < 2:
         raise DegenerateHistory("not enough finished trials with a finite loss for a surrogate")
@@ -210,7 +244,7 @@ def suggest_bo(history: list[tuple[dict, float]], space: HpSpace, rng: np.random
         raise DegenerateHistory("all observed losses identical")
     y = (y_raw - y_raw.mean()) / y_std
 
-    gp = GaussianProcess().fit(X, y, rng)
+    gp = GaussianProcess().fit(X, y, rng, theta)
 
     d = X.shape[1]
     candidates = rng.random((N_CANDIDATES, d))
@@ -227,5 +261,5 @@ def suggest_bo(history: list[tuple[dict, float]], space: HpSpace, rng: np.random
     for idx in order:
         cfg = space.from_unit(pool[idx])
         if cfg not in seen:
-            return cfg
-    return fallback
+            return cfg, gp.theta
+    return fallback, gp.theta

@@ -195,13 +195,14 @@ def test_criterion_04_bo_beats_random():
         random_best = min(objective(suggest_random(space, rng)) for _ in range(25))
 
         rng = np.random.default_rng([seed, 1])
-        history = []
+        history, theta = [], None
         for i in range(25):
             if i < 2:
                 cfg = suggest_random(space, rng)
             else:
                 try:
-                    cfg = suggest_bo(history, space, rng)
+                    # carry the GP's theta between fits, as the tuner does
+                    cfg, theta = suggest_bo(history, space, rng, theta)
                 except DegenerateHistory:
                     cfg = suggest_random(space, rng)
             history.append((cfg, objective(cfg)))

@@ -3,7 +3,10 @@
 `_neg_lml_and_grad`, `GaussianProcess` and `suggest_bo` below are verbatim
 copies of the versions that rebuilt the pairwise differences and `np.eye(n)`
 on every likelihood evaluation and factored and solved through
-`scipy.linalg.cholesky`/`cho_solve`/`solve_triangular`. `loss_and_grad` and
+`scipy.linalg.cholesky`/`cho_solve`/`solve_triangular`, except for the start
+rule of `GaussianProcess.fit`: it starts L-BFGS-B from the default theta and
+a warm theta (one random draw when there is none), and `suggest_bo` passes
+the warm theta in and returns the fitted one. `loss_and_grad` and
 `train_linear` are the versions that fancy-indexed `X`, `y` and the row
 weights once per batch, computed the loss on every step, and checked for
 divergence only after the last epoch. The current code must give the same
@@ -11,6 +14,7 @@ bytes (`tobytes()`), or raise the same exception.
 """
 import math
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +35,6 @@ from tabular_automl.tuner.bo import (
     LOCAL_SCALE,
     N_CANDIDATES,
     N_LOCAL,
-    N_RESTARTS,
     SQRT5,
     _unpack,
     expected_improvement,
@@ -83,7 +86,7 @@ class GaussianProcess:
         self.X: Optional[np.ndarray] = None
         self.theta: Optional[np.ndarray] = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "GaussianProcess":
+    def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator, theta=None) -> "GaussianProcess":
         from scipy import optimize
         from scipy.linalg import cho_solve, cholesky
 
@@ -92,8 +95,9 @@ class GaussianProcess:
         n, d = X.shape
         bounds = [_SIGNAL_BOUNDS] + [_LENGTH_BOUNDS] * d + [_NOISE_BOUNDS]
         starts = [np.array([0.0] + [0.0] * d + [math.log(0.1)])]
-        for _ in range(N_RESTARTS - 1):
-            starts.append(np.array([lo + rng.random() * (hi - lo) for lo, hi in bounds]))
+        if theta is None:
+            theta = np.array([lo + rng.random() * (hi - lo) for lo, hi in bounds])
+        starts.append(theta)
 
         best_val, best_theta = math.inf, starts[0]
         for theta0 in starts:
@@ -132,9 +136,9 @@ class GaussianProcess:
         return mu, np.sqrt(np.maximum(var, 0.0))
 
 
-def suggest_bo(history: list[tuple[dict, float]], space: HpSpace, rng: np.random.Generator) -> dict:
+def suggest_bo(history: list[tuple[dict, float]], space: HpSpace, rng: np.random.Generator, theta=None):
     if not space.tunables:
-        return dict(space.statics)
+        return dict(space.statics), theta
     if len(history) < 2:
         raise DegenerateHistory("not enough finished trials for a surrogate")
 
@@ -145,7 +149,7 @@ def suggest_bo(history: list[tuple[dict, float]], space: HpSpace, rng: np.random
         raise DegenerateHistory("all observed losses identical")
     y = (y_raw - y_raw.mean()) / y_std
 
-    gp = GaussianProcess().fit(X, y, rng)
+    gp = GaussianProcess().fit(X, y, rng, theta)
 
     d = X.shape[1]
     candidates = rng.random((N_CANDIDATES, d))
@@ -162,8 +166,8 @@ def suggest_bo(history: list[tuple[dict, float]], space: HpSpace, rng: np.random
     for idx in order:
         cfg = space.from_unit(pool[idx])
         if cfg not in seen:
-            return cfg
-    return fallback
+            return cfg, gp.theta
+    return fallback, gp.theta
 
 
 # --------------------------------------------------------- linear reference
@@ -303,12 +307,37 @@ class TestGaussianProcess:
         st.integers(2, 60),
         st.integers(1, 10),
         st.booleans(),
+        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_fit_and_predict_equal_reference(self, seed, n, d, grid):
+    def test_fit_and_predict_equal_reference(self, seed, n, d, grid, warm):
+        from scipy import optimize
+
         X, y = history_points(seed, n, d, grid)
-        ref = GaussianProcess().fit(X, y, np.random.default_rng(seed))
-        new = bo.GaussianProcess().fit(X, y, np.random.default_rng(seed))
+        theta = random_theta(np.random.default_rng(seed + 3), d) if warm else None
+        minimize = optimize.minimize
+        runs = []
+
+        def recording(fun, x0, *args, **kwargs):
+            x0 = np.array(x0, copy=True)
+            res = minimize(fun, x0, *args, **kwargs)
+            runs.append((x0, float(res.fun), res.x))
+            return res
+
+        with mock.patch.object(optimize, "minimize", recording):
+            new = bo.GaussianProcess().fit(X, y, np.random.default_rng(seed), theta)
+
+        # exactly two starts: the default theta, then the warm one or one random draw
+        second = theta if warm else random_theta(np.random.default_rng(seed), d)
+        assert [x0.tobytes() for x0, _, _ in runs] == [
+            np.array([0.0] + [0.0] * d + [math.log(0.1)]).tobytes(),
+            second.tobytes(),
+        ]
+        # the lower result is kept (the first on a tie)
+        kept = runs[1] if runs[1][1] < runs[0][1] else runs[0]
+        assert same_bytes(new.theta, kept[2])
+
+        ref = GaussianProcess().fit(X, y, np.random.default_rng(seed), theta)
         for name in ("theta", "_L", "_alpha", "_lengths"):
             assert same_bytes(getattr(new, name), getattr(ref, name)), name
         assert new._signal_var == ref._signal_var
@@ -339,15 +368,22 @@ class TestSuggestBo:
         rng = np.random.default_rng(seed)
         history = [(space.sample(rng), float(rng.normal())) for _ in range(n)]
         ref_rng, new_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        try:
-            want = suggest_bo(history, space, ref_rng)
-        except DegenerateHistory:
-            with pytest.raises(DegenerateHistory):
-                bo.suggest_bo(history, space, new_rng)
-            return
-        assert bo.suggest_bo(history, space, new_rng) == want
-        # both consumed the generator alike
-        assert ref_rng.random() == new_rng.random()
+        theta = None
+        # a pipeline's first suggestion, then the next one warm from its theta
+        for _ in range(2):
+            try:
+                want, ref_theta = suggest_bo(history, space, ref_rng, theta)
+            except DegenerateHistory:
+                with pytest.raises(DegenerateHistory):
+                    bo.suggest_bo(history, space, new_rng, theta)
+                return
+            got, theta = bo.suggest_bo(history, space, new_rng, theta)
+            assert got == want
+            assert same_bytes(theta, ref_theta)
+            # both consumed the generator alike
+            assert ref_rng.random() == new_rng.random()
+            history = history + [(got, float(ref_rng.normal()))]
+            new_rng.normal()
 
 
 # ----------------------------------------------------------------- linear

@@ -577,6 +577,40 @@ class TestRerun:
             fit_job / "leaderboard.json"
         ).read_bytes()
 
+    def test_gp_ei_rerun_is_byte_identical_at_each_parallelism(
+        self, tmp_path, small_regression_csv, monkeypatch
+    ):
+        from tabular_automl.tuner import bo
+
+        gen = tmp_path / "gen"
+        assert main(["generate", "--input", small_regression_csv, "--target", "response",
+                     "--output-dir", str(gen)]) == EXIT_OK
+        defs = tmp_path / "defs"
+        defs.mkdir()
+        name = "linear_standard.pipeline"
+        (defs / name).write_bytes((gen / "candidates" / name).read_bytes())
+        warm_fits = []
+        fit = bo.GaussianProcess.fit
+
+        def spy(gp, X, y, rng, theta=None):
+            warm_fits.append(theta is not None)
+            return fit(gp, X, y, rng, theta)
+
+        monkeypatch.setattr(bo.GaussianProcess, "fit", spy)
+        for p in ("1", "2"):
+            runs = []
+            warm_fits.clear()
+            for attempt in ("a", "b"):
+                out = tmp_path / f"p{p}{attempt}"
+                code = main(["rerun", "--definitions", str(defs), "--input", small_regression_csv,
+                             "--target", "response", "--output-dir", str(out), "--budget", "12",
+                             "--parallelism", p, "--seed", "4"])
+                assert code == EXIT_OK
+                runs.append([(out / f).read_bytes() for f in ("trials.jsonl", "leaderboard.json")])
+            assert runs[0] == runs[1], f"P = {p}"
+            # both runs reached GP-EI, and its later fits started warm
+            assert warm_fits.count(False) == 2 and any(warm_fits), f"P = {p}"
+
     def test_invalid_edit_reported_with_location(self, tmp_path, small_regression_csv):
         gen = tmp_path / "gen"
         main(

@@ -253,6 +253,53 @@ class TestSuggestionLadder:
         assert self.SPACE.contains(next_action(st, TunerConfig()).hp)
 
 
+class TestWarmTheta:
+    SPACE = HpSpace(tunables=[HpDomain("x", "float", 0.0, 1.0)])
+
+    def _tuning(self, pid, reward, flat=False):
+        p = pipeline(pid, space=self.SPACE)
+        p.history = [({"x": 0.2 * i}, 0.5 if flat else (0.2 * i - 0.7) ** 2 + reward) for i in range(5)]
+        p.suggested = p.finished = 5
+        p.reward = min(v for _, v in p.history)
+        return p
+
+    def _fit_starts(self, monkeypatch) -> list:
+        """The theta argument of every GP fit from now on."""
+        starts = []
+        fit = bo.GaussianProcess.fit
+
+        def spy(gp, X, y, rng, theta=None):
+            starts.append(None if theta is None else theta.copy())
+            return fit(gp, X, y, rng, theta)
+
+        monkeypatch.setattr(bo.GaussianProcess, "fit", spy)
+        return starts
+
+    def test_next_fit_starts_from_the_last_theta(self, monkeypatch):
+        a, b = self._tuning("a", 0.0), self._tuning("b", 1.0)
+        b_theta = np.array([0.1, 0.2, -3.0])
+        b.theta = b_theta
+        st, cfg = state_of(a, b), TunerConfig(epsilon=0.0)
+        starts = self._fit_starts(monkeypatch)
+
+        finish(st, next_action(st, cfg), 0.3)
+        assert starts == [None]
+        first = a.theta
+        assert first is not None and first.shape == (3,)
+        next_action(st, cfg)
+        assert len(starts) == 2 and starts[1].tobytes() == first.tobytes()
+        assert a.theta is not first
+        assert b.theta is b_theta and b_theta.tobytes() == np.array([0.1, 0.2, -3.0]).tobytes()
+
+    def test_degenerate_history_leaves_theta_as_it_was(self):
+        p = self._tuning("a", 0.0, flat=True)
+        theta = np.array([0.0, 0.0, -2.0])
+        p.theta = theta
+        st = state_of(p)
+        assert self.SPACE.contains(next_action(st, TunerConfig(epsilon=0.0)).hp)
+        assert p.theta is theta
+
+
 class TestExpectedImprovement:
     def test_zero_uncertainty_at_incumbent(self):
         ei = expected_improvement(np.array([0.3]), np.array([0.0]), best=0.3)
@@ -288,31 +335,31 @@ class TestSuggestBo:
         space = HpSpace(tunables=[HpDomain("n", "int", 1, 3)])
         history = [({"n": 1}, 0.9), ({"n": 3}, 0.1)]
         for seed in range(5):
-            hp = suggest_bo(history, space, np.random.default_rng(seed))
+            hp, _ = suggest_bo(history, space, np.random.default_rng(seed))
             assert hp == {"n": 2}
 
     def test_saturated_space_returns_top_candidate(self):
         space = HpSpace(tunables=[HpDomain("n", "int", 1, 3)])
         history = [({"n": 1}, 0.9), ({"n": 2}, 0.5), ({"n": 3}, 0.1)]
-        hp = suggest_bo(history, space, np.random.default_rng(1))
+        hp, _ = suggest_bo(history, space, np.random.default_rng(1))
         assert space.contains(hp)
 
     def test_statics_pass_through(self):
-        assert suggest_bo([], STATIC_SPACE, np.random.default_rng(0)) == {"c": 1}
+        assert suggest_bo([], STATIC_SPACE, np.random.default_rng(0))[0] == {"c": 1}
 
     def test_non_finite_losses_are_left_out_of_the_surrogate(self):
         history = [({"x": 0.1 * i}, float(i)) for i in range(5)]
         for bad in (float("inf"), float("nan")):
-            hp = suggest_bo(history + [({"x": 0.55}, bad)], self.SPACE, np.random.default_rng(0))
-            assert hp == suggest_bo(history, self.SPACE, np.random.default_rng(0))
+            hp, _ = suggest_bo(history + [({"x": 0.55}, bad)], self.SPACE, np.random.default_rng(0))
+            assert hp == suggest_bo(history, self.SPACE, np.random.default_rng(0))[0]
 
     def test_non_finite_configs_still_count_as_seen(self):
         space = HpSpace(tunables=[HpDomain("n", "int", 1, 3)])
         history = [({"n": 1}, 0.9), ({"n": 3}, 0.1), ({"n": 2}, float("inf"))]
-        hp = suggest_bo(history, space, np.random.default_rng(0))
+        hp, _ = suggest_bo(history, space, np.random.default_rng(0))
         # every config is seen, so the top candidate comes back whatever it is
         assert space.contains(hp)
-        assert suggest_bo(history[:2], space, np.random.default_rng(0)) == {"n": 2}
+        assert suggest_bo(history[:2], space, np.random.default_rng(0))[0] == {"n": 2}
 
     def test_fewer_than_two_finite_losses_rejected(self):
         history = [({"x": 0.2}, 1.0), ({"x": 0.4}, float("inf")), ({"x": 0.6}, float("nan"))]
@@ -336,7 +383,7 @@ class TestSuggestBo:
             assert "multiprocessing" not in sys.modules, "multiprocessing imported at module level"
             space = HpSpace(tunables=[HpDomain("x", "float", 0.0, 1.0)])
             history = [({"x": 0.1}, 0.9), ({"x": 0.5}, 0.4), ({"x": 0.9}, 0.7)]
-            hp = suggest_bo(history, space, np.random.default_rng(0))
+            hp, _ = suggest_bo(history, space, np.random.default_rng(0))
             assert scipy_loaded(), "suggest_bo ran without scipy"
             assert space.contains(hp), hp
             """
