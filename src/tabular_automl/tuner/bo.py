@@ -3,17 +3,21 @@
 Inputs live in the unit cube (HpSpace handles the mapping, log domains in
 log space); targets are standardized. Kernel: Matern-5/2 with ARD
 length-scales plus observation noise, all fit by maximizing the log
-marginal likelihood with L-BFGS-B from two starts: the default theta and
-the pipeline's previous fitted theta, or one seeded random draw on the
-pipeline's first fit. The acquisition is maximized over seeded random
+marginal likelihood (Rasmussen & Williams 2006, section 5.4) inside a box
+of bounds, from two starts: the default theta and the pipeline's previous
+fitted theta, or one seeded random draw on the pipeline's first fit. The
+box-constrained minimizer is `boxmin.minimize_in_box`, L-BFGS-B's method
+with a dense model matrix. The acquisition is maximized over seeded random
 candidates plus local perturbations of the incumbent, never by gradient
 ascent, so integer and categorical domains need no special casing.
 
-scipy is imported inside the functions that use it, so a CLI process that
-never reaches GP-EI never pays scipy's import time and memory.
+numpy is the only dependency: the kernel matrix is factored by
+`np.linalg.cholesky`, and one inverse of the factor gives the likelihood,
+its gradient and the predictive variance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -21,8 +25,10 @@ import numpy as np
 
 from ..errors import DegenerateHistory
 from ..learners import HpSpace
+from .boxmin import minimize_in_box
 
 SQRT5 = math.sqrt(5.0)
+LOG_2PI = math.log(2.0 * math.pi)
 JITTER = 1e-10
 
 N_CANDIDATES = 1000
@@ -35,23 +41,17 @@ _LENGTH_BOUNDS = (math.log(1e-2), math.log(1e2))
 _NOISE_BOUNDS = (math.log(1e-6), math.log(1.0))
 
 
-def _pairwise_diff(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """(n1, n2, d) differences X1[i] - X2[j]; the length-scales divide them later."""
-    return X1[:, None, :] - X2[None, :, :]
+def _sq_diffs(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """(n1 * n2, d) squared differences (X1[i] - X2[j])**2 in row i * n2 + j."""
+    return ((X1[:, None, :] - X2[None, :, :]) ** 2).reshape(-1, X1.shape[1])
 
 
-def _scaled_dists(diff: np.ndarray, lengths: np.ndarray):
-    """Pairwise r and per-dimension squared scaled differences d_i^2."""
-    sq = (diff / lengths) ** 2
-    r = np.sqrt(np.maximum(sq.sum(axis=2), 0.0))
-    return r, sq
-
-
-def _matern52(r: np.ndarray, signal_var: float, e: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matern-5/2 kernel at distances r; e is exp(-sqrt5 r) if the caller has it already."""
-    if e is None:
-        e = np.exp(-SQRT5 * r)
-    return signal_var * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * e
+def _matern52(r2: np.ndarray, signal_var: float):
+    """Matern-5/2 kernel at squared scaled distances r2, and (1 + sqrt5 r) exp(-sqrt5 r)."""
+    sr = SQRT5 * np.sqrt(r2)
+    e = np.exp(-sr)
+    a = 1.0 + sr
+    return signal_var * (a + (5.0 / 3.0) * r2) * e, a * e
 
 
 def _bounds(d: int) -> list[tuple[float, float]]:
@@ -75,55 +75,33 @@ def _unpack(theta: np.ndarray, d: int):
     return signal_var, lengths, noise_var
 
 
-def _cholesky(K: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of K, or None when K is not positive definite.
-
-    Calls LAPACK directly: K is finite whenever theta and the history are
-    (suggest_bo fits finite losses only), so scipy.linalg's finiteness check
-    and batching wrapper are only overhead.
-    """
-    from scipy.linalg.lapack import dpotrf
-
-    L, info = dpotrf(K, lower=1, clean=1)
-    return None if info > 0 else L
-
-
-def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from scipy.linalg.lapack import dpotrs
-
-    x, _ = dpotrs(L, b, lower=1)
-    return x
-
-
-def _neg_lml_and_grad(theta: np.ndarray, diff: np.ndarray, y: np.ndarray, eye: np.ndarray):
+def _neg_lml_and_grad(theta: np.ndarray, sq: np.ndarray, y: np.ndarray, eye: np.ndarray):
     """Negative log marginal likelihood and its gradient in theta.
 
-    diff is _pairwise_diff(X, X) and eye the (n, n) identity; both depend on
-    X only, so a fit builds them once for all its evaluations.
+    sq is _sq_diffs(X, X) and eye the (n, n) identity; both depend on X
+    only, so a fit builds them once for all its evaluations. A kernel matrix
+    that is not positive definite gives 1e25 and a zero gradient.
     """
-    n, _, d = diff.shape
+    n, d = len(y), sq.shape[1]
     signal_var, lengths, noise_var = _unpack(theta, d)
-    r, sq = _scaled_dists(diff, lengths)
-    e = np.exp(-SQRT5 * r)
-    K_f = _matern52(r, signal_var, e)
-    K = K_f + (noise_var + JITTER) * eye
-    L = _cholesky(K)
-    if L is None:
+    inv_sq_lengths = lengths**-2
+    K_f, ae = _matern52((sq @ inv_sq_lengths).reshape(n, n), signal_var)
+    try:
+        L = np.linalg.cholesky(K_f + (noise_var + JITTER) * eye)
+    except np.linalg.LinAlgError:
         return 1e25, np.zeros_like(theta)
-    alpha = _cho_solve(L, y)
-    lml = -0.5 * float(y @ alpha) - float(np.log(np.diag(L)).sum()) - 0.5 * n * math.log(2 * math.pi)
+    L_inv = np.linalg.inv(L)
+    z = L_inv @ y
+    alpha = z @ L_inv  # K^-1 y
+    nll = 0.5 * float(z @ z) + float(np.log(L.diagonal()).sum()) + 0.5 * n * LOG_2PI
 
-    K_inv = _cho_solve(L, eye)
-    M = np.outer(alpha, alpha) - K_inv  # dLML/dtheta_j = 0.5 tr(M dK/dtheta_j)
-
-    grad = np.zeros_like(theta)
-    grad[0] = 0.5 * float((M * (2.0 * K_f)).sum())
-    # dK/dlog l_i = (5/3) sigma_f^2 (1 + sqrt5 r) exp(-sqrt5 r) d_i^2
-    base = (5.0 / 3.0) * signal_var * (1.0 + SQRT5 * r) * e
-    for i in range(d):
-        grad[1 + i] = 0.5 * float((M * (base * sq[:, :, i])).sum())
-    grad[1 + d] = 0.5 * float(np.trace(M) * 2.0 * noise_var)
-    return -lml, -grad
+    M = alpha[:, None] * alpha - L_inv.T @ L_inv  # dLML/dtheta_j = 0.5 tr(M dK/dtheta_j)
+    grad = np.empty_like(theta)
+    grad[0] = np.vdot(M, K_f)
+    # dK/dlog l_i = (5/3) sigma_f^2 (1 + sqrt5 r) exp(-sqrt5 r) (x_i - x'_i)^2 / l_i^2
+    grad[1 : 1 + d] = ((M * ae).ravel() @ sq) * ((5.0 / 6.0) * signal_var * inv_sq_lengths)
+    grad[1 + d] = np.trace(M) * noise_var
+    return nll, -grad
 
 
 class GaussianProcess:
@@ -151,49 +129,37 @@ class GaussianProcess:
         return self.fit_from(X, y, [default_theta(d), theta])
 
     def fit_from(self, X: np.ndarray, y: np.ndarray, starts: list[np.ndarray]) -> "GaussianProcess":
-        """Run L-BFGS-B on the likelihood from each start, in order; keep the lowest."""
-        from scipy import optimize
-
+        """Minimize the likelihood from each start, in order; keep the lowest."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, d = X.shape
-        diff, eye, bounds = _pairwise_diff(X, X), np.eye(n), _bounds(d)
+        sq = _sq_diffs(X, X)
+        lo, hi = np.array(_bounds(d)).T
+        nll = functools.partial(_neg_lml_and_grad, sq=sq, y=y, eye=np.eye(n))
         best_val, best_theta = math.inf, starts[0]
         for theta0 in starts:
-            res = optimize.minimize(
-                _neg_lml_and_grad,
-                theta0,
-                args=(diff, y, eye),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-            )
-            if res.fun < best_val:
-                best_val, best_theta = float(res.fun), res.x
+            theta, val = minimize_in_box(nll, theta0, lo, hi)
+            if val < best_val:
+                best_val, best_theta = val, theta
 
         self.X = X
         self.y = y
         self.theta = best_theta
         signal_var, lengths, noise_var = _unpack(best_theta, d)
-        r, _ = _scaled_dists(diff, lengths)
-        K = _matern52(r, signal_var) + (noise_var + JITTER) * eye
-        self._L = _cholesky(K)
-        if self._L is None:
-            raise np.linalg.LinAlgError("GP kernel matrix is not positive definite")
-        self._alpha = _cho_solve(self._L, y)
+        K_f, _ = _matern52((sq @ lengths**-2).reshape(n, n), signal_var)
+        self._L_inv = np.linalg.inv(np.linalg.cholesky(K_f + (noise_var + JITTER) * np.eye(n)))
+        self._alpha = (self._L_inv @ y) @ self._L_inv
         self._lengths = lengths
         self._signal_var = signal_var
         return self
 
     def predict(self, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation of the latent function."""
-        from scipy.linalg.lapack import dtrtrs
-
         X_new = np.asarray(X_new, dtype=float)
-        r, _ = _scaled_dists(_pairwise_diff(X_new, self.X), self._lengths)
-        K_star = _matern52(r, self._signal_var)
+        r2 = (_sq_diffs(X_new, self.X) @ self._lengths**-2).reshape(len(X_new), len(self.X))
+        K_star, _ = _matern52(r2, self._signal_var)
         mu = K_star @ self._alpha
-        v, _ = dtrtrs(self._L, K_star.T, lower=1)
+        v = self._L_inv @ K_star.T
         var = self._signal_var - (v**2).sum(axis=0)
         return mu, np.sqrt(np.maximum(var, 0.0))
 
@@ -202,17 +168,20 @@ def _norm_pdf(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
 
 
+def _norm_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-z / sqrt2): accurate in the lower tail too."""
+    return 0.5 * np.fromiter(map(math.erfc, (-z / math.sqrt(2.0)).tolist()), float, len(z))
+
+
 def expected_improvement(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
     """EI for minimization: E[max(best - Y, 0)] under N(mu, sigma^2)."""
-    from scipy.special import ndtr
-
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     ei = np.maximum(best - mu, 0.0)
     ok = sigma > 1e-12
     if np.any(ok):
         z = (best - mu[ok]) / sigma[ok]
-        ei[ok] = (best - mu[ok]) * ndtr(z) + sigma[ok] * _norm_pdf(z)
+        ei[ok] = (best - mu[ok]) * _norm_cdf(z) + sigma[ok] * _norm_pdf(z)
     return ei
 
 

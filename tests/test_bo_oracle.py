@@ -1,16 +1,20 @@
-"""The BO inner loops against the implementations they replaced.
+"""The BO inner loops against reference implementations.
 
-`_neg_lml_and_grad`, `GaussianProcess` and `suggest_bo` below are verbatim
-copies of the versions that rebuilt the pairwise differences and `np.eye(n)`
-on every likelihood evaluation and factored and solved through
-`scipy.linalg.cholesky`/`cho_solve`/`solve_triangular`, except for the start
-rule of `GaussianProcess.fit`: it starts L-BFGS-B from the default theta and
-a warm theta (one random draw when there is none), and `suggest_bo` passes
-the warm theta in and returns the fitted one. `loss_and_grad` and
-`train_linear` are the versions that fancy-indexed `X`, `y` and the row
-weights once per batch, computed the loss on every step, and checked for
-divergence only after the last epoch. The current code must give the same
-bytes (`tobytes()`), or raise the same exception.
+The GP reference below is the scipy implementation that the numpy-only
+`tuner/bo.py` replaced: `_neg_lml_and_grad`, `GaussianProcess` and
+`suggest_bo` factor and solve through `scipy.linalg.cholesky`/`cho_solve`/
+`solve_triangular` and fit with `scipy.optimize.minimize(method="L-BFGS-B")`
+from the default theta and a warm theta (one random draw when there is
+none). The numpy code factors with `np.linalg.cholesky`, inverts the factor
+and minimizes with `boxmin.minimize_in_box`, L-BFGS-B's method in numpy, so
+its numbers differ in the last digits and a fit can end in another local
+optimum. The GP tests compare within 1e-9 relative, or within the rounding
+that the kernel matrix's condition number allows, and compare fitted
+likelihoods over a fixed set of histories. `loss_and_grad` and `train_linear` are the versions that
+fancy-indexed `X`, `y` and the row weights once per batch, computed the loss
+on every step, and checked for divergence only after the last epoch; the
+current code must give the same bytes (`tobytes()`), or raise the same
+exception.
 """
 import math
 from typing import Optional
@@ -88,7 +92,6 @@ class GaussianProcess:
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator, theta=None) -> "GaussianProcess":
         from scipy import optimize
-        from scipy.linalg import cho_solve, cholesky
 
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -112,10 +115,17 @@ class GaussianProcess:
             if res.fun < best_val:
                 best_val, best_theta = float(res.fun), res.x
 
+        return self.at(X, y, best_theta)
+
+    def at(self, X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> "GaussianProcess":
+        """The posterior at a fixed theta."""
+        from scipy.linalg import cho_solve, cholesky
+
+        n, d = X.shape
         self.X = X
         self.y = y
-        self.theta = best_theta
-        signal_var, lengths, noise_var = _unpack(best_theta, d)
+        self.theta = theta
+        signal_var, lengths, noise_var = _unpack(theta, d)
         r, _ = _scaled_dists(X, X, lengths)
         K = _matern52(r, signal_var) + (noise_var + JITTER) * np.eye(n)
         self._L = cholesky(K, lower=True)
@@ -274,6 +284,19 @@ def same_bytes(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def condition_tolerance(X: np.ndarray, theta: np.ndarray) -> float:
+    """Relative tolerance between two factorizations of K at theta: 1e-9,
+    or 100 eps cond(K) where rounding in either one can be that large."""
+    signal_var, lengths, noise_var = _unpack(theta, X.shape[1])
+    r, _ = _scaled_dists(X, X, lengths)
+    K = _matern52(r, signal_var) + (noise_var + JITTER) * np.eye(len(X))
+    return max(1e-9, 100 * np.finfo(float).eps * np.linalg.cond(K))
+
+
+def box(d: int):
+    return np.array([_SIGNAL_BOUNDS] + [_LENGTH_BOUNDS] * d + [_NOISE_BOUNDS]).T
+
+
 class TestLikelihood:
     @given(
         st.integers(0, 2**32 - 1),
@@ -286,9 +309,33 @@ class TestLikelihood:
         X, y = history_points(seed, n, d, grid)
         theta = random_theta(np.random.default_rng(seed + 1), d)
         ref_val, ref_grad = _neg_lml_and_grad(theta, X, y)
-        val, grad = bo._neg_lml_and_grad(theta, bo._pairwise_diff(X, X), y, np.eye(n))
-        assert val == ref_val
-        assert same_bytes(grad, ref_grad)
+        val, grad = bo._neg_lml_and_grad(theta, bo._sq_diffs(X, X), y, np.eye(n))
+        if ref_val == 1e25:
+            assert val == 1e25 and not grad.any()
+            return
+        tol = condition_tolerance(X, theta)
+        assert val == pytest.approx(ref_val, rel=tol)
+        np.testing.assert_allclose(grad, ref_grad, rtol=tol, atol=tol * max(1.0, np.abs(ref_grad).max()))
+
+    # Signal std in [1/e, e], length-scales in [0.1, 2] and noise std in
+    # [0.01, 1]: well enough conditioned for central differences to agree.
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_matches_finite_differences(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        X, y = rng.random((n, d)), rng.normal(size=n)
+        lo = np.array([-1.0] + [math.log(0.1)] * d + [math.log(1e-2)])
+        hi = np.array([1.0] + [math.log(2.0)] * d + [0.0])
+        theta = lo + rng.random(d + 2) * (hi - lo)
+        args = (bo._sq_diffs(X, X), y, np.eye(n))
+        _, grad = bo._neg_lml_and_grad(theta, *args)
+        eps = 1e-5
+        for j in range(len(theta)):
+            tp, tm = theta.copy(), theta.copy()
+            tp[j] += eps
+            tm[j] -= eps
+            fd = (bo._neg_lml_and_grad(tp, *args)[0] - bo._neg_lml_and_grad(tm, *args)[0]) / (2 * eps)
+            assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     def test_not_positive_definite_returns_the_same_sentinel(self):
         # Largest signal and length-scale, least noise: the factor fails.
@@ -296,9 +343,22 @@ class TestLikelihood:
         y = np.linspace(-1.0, 1.0, 10)
         theta = np.array([_SIGNAL_BOUNDS[1], _LENGTH_BOUNDS[1], _NOISE_BOUNDS[0]])
         ref = _neg_lml_and_grad(theta, X, y)
-        new = bo._neg_lml_and_grad(theta, bo._pairwise_diff(X, X), y, np.eye(10))
+        new = bo._neg_lml_and_grad(theta, bo._sq_diffs(X, X), y, np.eye(10))
         assert ref[0] == new[0] == 1e25
         assert same_bytes(ref[1], new[1])
+
+
+def seeded_histories():
+    """300 fixed histories: n 3-60, d 1-10, a third of them on a coarse grid."""
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 23])
+        n, d, grid = int(rng.integers(3, 61)), int(rng.integers(1, 11)), rng.random() < 1 / 3
+        X, y = history_points(seed, n, d, grid)
+        yield seed, X, y, [default_theta(d), random_theta(rng, d)]
+
+
+def default_theta(d: int) -> np.ndarray:
+    return np.array([0.0] + [0.0] * d + [math.log(0.1)])
 
 
 class TestGaussianProcess:
@@ -310,40 +370,75 @@ class TestGaussianProcess:
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_fit_and_predict_equal_reference(self, seed, n, d, grid, warm):
-        from scipy import optimize
-
+    def test_fit_starts_from_two_thetas_and_keeps_the_lower(self, seed, n, d, grid, warm):
         X, y = history_points(seed, n, d, grid)
         theta = random_theta(np.random.default_rng(seed + 3), d) if warm else None
-        minimize = optimize.minimize
+        minimize = bo.minimize_in_box
         runs = []
 
-        def recording(fun, x0, *args, **kwargs):
+        def recording(fun, x0, lo, hi):
             x0 = np.array(x0, copy=True)
-            res = minimize(fun, x0, *args, **kwargs)
-            runs.append((x0, float(res.fun), res.x))
-            return res
+            x, val = minimize(fun, x0, lo, hi)
+            runs.append((x0, val, x))
+            return x, val
 
-        with mock.patch.object(optimize, "minimize", recording):
+        with mock.patch.object(bo, "minimize_in_box", recording):
             new = bo.GaussianProcess().fit(X, y, np.random.default_rng(seed), theta)
 
         # exactly two starts: the default theta, then the warm one or one random draw
         second = theta if warm else random_theta(np.random.default_rng(seed), d)
-        assert [x0.tobytes() for x0, _, _ in runs] == [
-            np.array([0.0] + [0.0] * d + [math.log(0.1)]).tobytes(),
-            second.tobytes(),
-        ]
+        assert [x0.tobytes() for x0, _, _ in runs] == [default_theta(d).tobytes(), second.tobytes()]
         # the lower result is kept (the first on a tie)
         kept = runs[1] if runs[1][1] < runs[0][1] else runs[0]
         assert same_bytes(new.theta, kept[2])
+        lo, hi = box(d)
+        assert np.all((lo <= new.theta) & (new.theta <= hi))
 
-        ref = GaussianProcess().fit(X, y, np.random.default_rng(seed), theta)
-        for name in ("theta", "_L", "_alpha", "_lengths"):
-            assert same_bytes(getattr(new, name), getattr(ref, name)), name
-        assert new._signal_var == ref._signal_var
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 60),
+        st.integers(1, 10),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_predict_equals_reference_at_the_fitted_theta(self, seed, n, d, grid):
+        X, y = history_points(seed, n, d, grid)
+        new = bo.GaussianProcess().fit(X, y, np.random.default_rng(seed))
+        ref = GaussianProcess().at(X, y, new.theta)
+        tol = condition_tolerance(X, new.theta)
         X_new = np.random.default_rng(seed + 2).random((200, d))
-        for got, want in zip(new.predict(X_new), ref.predict(X_new)):
-            assert same_bytes(got, want)
+        (mu, sigma), (ref_mu, ref_sigma) = new.predict(X_new), ref.predict(X_new)
+        np.testing.assert_allclose(mu, ref_mu, rtol=tol, atol=tol * max(1.0, np.abs(ref_mu).max()))
+        # compare variances: a standard deviation near 0 amplifies the rounding of its square
+        np.testing.assert_allclose(sigma**2, ref_sigma**2, rtol=tol, atol=tol * ref._signal_var)
+
+    def test_likelihood_is_as_low_as_lbfgsb_on_seeded_histories(self):
+        """The kept -LML of the two starts, against scipy's L-BFGS-B from the same two.
+
+        The likelihood has several local optima, and which one a descent
+        reaches can turn on rounding: L-BFGS-B against itself with 9
+        instead of 10 curvature pairs ends higher on 11 of these 300
+        histories. So the fit may end higher than the reference on at most
+        2% of them (6), more than 1e-6 relative.
+        """
+        from scipy import optimize
+
+        higher = []
+        for seed, X, y, starts in seeded_histories():
+            n, d = X.shape
+            ref = min(
+                optimize.minimize(
+                    _neg_lml_and_grad, t0, args=(X, y), jac=True, method="L-BFGS-B", bounds=list(zip(*box(d)))
+                ).fun
+                for t0 in starts
+            )
+            got = bo.GaussianProcess().fit_from(X, y, starts)
+            val = _neg_lml_and_grad(got.theta, X, y)[0]
+            if val > ref + 1e-6 * max(1.0, abs(ref)):
+                higher.append((seed, n, d, ref, val))
+        for case in higher:
+            print("higher than L-BFGS-B: seed %d, n %d, d %d: %.6f against %.6f" % case)
+        assert len(higher) <= 6, f"{len(higher)} of 300 higher than L-BFGS-B"
 
 
 class TestSuggestBo:
@@ -353,7 +448,7 @@ class TestSuggestBo:
         st.lists(st.sampled_from(["float", "log_float", "int", "categorical"]), min_size=1, max_size=10),
     )
     @settings(max_examples=50, deadline=None)
-    def test_equals_reference(self, seed, n, kinds):
+    def test_consumes_the_generator_as_the_reference(self, seed, n, kinds):
         domains = []
         for i, kind in enumerate(kinds):
             if kind == "categorical":
@@ -368,20 +463,21 @@ class TestSuggestBo:
         rng = np.random.default_rng(seed)
         history = [(space.sample(rng), float(rng.normal())) for _ in range(n)]
         ref_rng, new_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        theta = None
+        lo, hi = box(len(domains))
+        theta = ref_theta = None
         # a pipeline's first suggestion, then the next one warm from its theta
         for _ in range(2):
             try:
-                want, ref_theta = suggest_bo(history, space, ref_rng, theta)
+                _, ref_theta = suggest_bo(history, space, ref_rng, ref_theta)
             except DegenerateHistory:
                 with pytest.raises(DegenerateHistory):
                     bo.suggest_bo(history, space, new_rng, theta)
                 return
             got, theta = bo.suggest_bo(history, space, new_rng, theta)
-            assert got == want
-            assert same_bytes(theta, ref_theta)
-            # both consumed the generator alike
-            assert ref_rng.random() == new_rng.random()
+            assert space.contains(got), got
+            assert np.all((lo <= theta) & (theta <= hi))
+            # both drew the same number of values from the generator
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
             history = history + [(got, float(ref_rng.normal()))]
             new_rng.normal()
 

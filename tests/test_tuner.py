@@ -366,26 +366,39 @@ class TestSuggestBo:
         with pytest.raises(DegenerateHistory):
             suggest_bo(history, self.SPACE, np.random.default_rng(0))
 
-    def test_scipy_loads_only_when_the_surrogate_runs(self):
-        # A fresh interpreter: this test process has scipy loaded already.
+    def test_no_scipy_import_on_any_path_to_a_suggestion(self):
+        # A fresh interpreter: this test process has scipy loaded already. A
+        # meta-path finder records every attempt to import scipy, so an import
+        # that a later line removed from sys.modules is still seen.
         script = textwrap.dedent(
             """
             import sys
+
+            attempts = []
+
+            class RecordScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy" or name.startswith("scipy."):
+                        attempts.append(name)
+                    return None
+
+            sys.meta_path.insert(0, RecordScipy())
+
             import numpy as np
             import tabular_automl.orchestrator.cli
             from tabular_automl.learners import HpDomain, HpSpace
             from tabular_automl.tuner.bo import suggest_bo
 
-            def scipy_loaded():
-                return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
-
-            assert not scipy_loaded(), "scipy imported at module level"
             assert "multiprocessing" not in sys.modules, "multiprocessing imported at module level"
             space = HpSpace(tunables=[HpDomain("x", "float", 0.0, 1.0)])
             history = [({"x": 0.1}, 0.9), ({"x": 0.5}, 0.4), ({"x": 0.9}, 0.7)]
-            hp, _ = suggest_bo(history, space, np.random.default_rng(0))
-            assert scipy_loaded(), "suggest_bo ran without scipy"
+            rng = np.random.default_rng(0)
+            hp, theta = suggest_bo(history, space, rng)  # a pipeline's first GP fit
             assert space.contains(hp), hp
+            hp, _ = suggest_bo(history + [(hp, 0.5)], space, rng, theta)  # a warm one
+            assert space.contains(hp), hp
+            assert not attempts, attempts
+            assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
             """
         )
         src = str(Path(tabular_automl.__file__).resolve().parent.parent)
@@ -412,7 +425,7 @@ class TestGpGradient:
             X = rng.random((n, d))
             y = rng.normal(size=n)
             theta = np.array([lo + rng.random() * (hi - lo) for lo, hi in box])
-            args = (bo._pairwise_diff(X, X), y, np.eye(n))
+            args = (bo._sq_diffs(X, X), y, np.eye(n))
             _, grad = bo._neg_lml_and_grad(theta, *args)
             eps = 1e-5
             for j in range(len(theta)):
