@@ -102,8 +102,8 @@ class RawTable:
         )
 
 
-def _read_csv_cells(path, missing_literals) -> tuple[list[str], list[list[Optional[str]]]]:
-    lowered = {m.lower() for m in missing_literals}
+def _read_csv_cells(path) -> tuple[list[str], list[list[Optional[str]]]]:
+    lowered = {m.lower() for m in DEFAULT_MISSING_LITERALS}
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f, strict=True)
@@ -129,13 +129,13 @@ def _read_csv_cells(path, missing_literals) -> tuple[list[str], list[list[Option
     return header, rows
 
 
-def load_csv(path, target_name: str, missing_literals=DEFAULT_MISSING_LITERALS) -> RawTable:
+def load_csv(path, target_name: str) -> RawTable:
     """Load an RFC-4180 CSV with a mandatory header row.
 
-    Empty strings and the configured literal set (case-insensitive) become
-    missing cells. Ragged rows and broken quoting raise MalformedCsv.
+    Cells in `DEFAULT_MISSING_LITERALS` (case-insensitive) become missing
+    cells. Ragged rows and broken quoting raise MalformedCsv.
     """
-    header, cells = _read_csv_cells(path, missing_literals)
+    header, cells = _read_csv_cells(path)
     if target_name not in header:
         raise MissingTarget(f"target column {target_name!r} not in header {header}")
     return RawTable(
@@ -146,11 +146,9 @@ def load_csv(path, target_name: str, missing_literals=DEFAULT_MISSING_LITERALS) 
     )
 
 
-def load_feature_csv(
-    path, missing_literals=DEFAULT_MISSING_LITERALS
-) -> tuple[list[str], list[list[Optional[str]]]]:
+def load_feature_csv(path) -> tuple[list[str], list[list[Optional[str]]]]:
     """Load a CSV for scoring: header plus normalized cells, no target required."""
-    return _read_csv_cells(path, missing_literals)
+    return _read_csv_cells(path)
 
 
 def drop_missing_target(t: RawTable) -> tuple[RawTable, int]:

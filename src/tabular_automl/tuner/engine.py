@@ -14,16 +14,20 @@ forked into a slot of its own, waiting for one if need be, and gives it
 back when its runner returns. While it trains it may borrow slots left
 idle to boost GBT class chains in helper processes. So at most P processes
 train at once. Each trial leads its own process group, so a trial that is
-killed, or dies, takes its helpers with it.
+killed, or dies, takes its helpers with it. The run waits in one
+`select.poll` on the free-slot pipe and every unread trial pipe, so a trial
+that dies is noticed as soon as its pipe closes, and only this process
+reaps its trials.
 """
 from __future__ import annotations
 
 import os
-import signal
+import select
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -115,84 +119,45 @@ def _execute(trial: Trial, arm: TunerArm, cfg: TunerConfig):
         return None, None, traceback.format_exc(limit=3), time.monotonic() - started
 
 
-POLL_S = 0.05  # how often the forked run looks for trials that exited
-
-
-def _poll_for(deadline) -> float:
-    """One wait of at most POLL_S, ending at the deadline."""
-    return POLL_S if deadline is None else max(0.0, min(POLL_S, deadline - time.monotonic()))
-
-
-def _child(conn, trial: Trial, arm: TunerArm, cfg: TunerConfig, lease: slots.Lease) -> None:
+def _trial(trial: Trial, arm: TunerArm, cfg: TunerConfig, lease: slots.Lease):
+    """The body of a forked trial: its outcome, which `slots.fork` sends back."""
     os.setpgrp()  # the trial's helpers join its group, so killing the group ends them too
     slots.current = lease
     outcome = _execute(trial, arm, cfg)
     lease.give_back()  # idle while the result waits to be applied
-    conn.send(outcome)
-    conn.close()
+    return outcome
 
 
 @dataclass
 class _Flight:
-    """A trial in flight at P > 1: its process, result pipe and slots.
+    """A trial in flight at P > 1: its process, result pipe and slots, and
+    its outcome once the pipe has been read.
 
-    Helpers forked from the trial inherit its end of the pipe, so when the
-    trial dies while they run the pipe stays open; its exit is polled too.
+    Helpers forked from the trial close their copy of its pipe, so the pipe
+    reads EOF as soon as the trial exits, whether it sent a result or not.
     """
 
     trial: Trial
-    proc: Any
-    recv: Any
+    pid: int
+    fd: int
     lease: slots.Lease
     started: float
-    ended: bool = False
+    outcome: Any = None
 
-    def exited(self) -> bool:
-        """Whether the trial process has exited. It is not reaped here, so
-        its pid still names its process group."""
-        try:
-            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
-            return os.waitid(os.P_PID, self.proc.pid, flags) is not None
-        except ChildProcessError:  # reaped already
-            return True
-
-    def wait(self, deadline) -> bool:
-        """Wait until the trial has sent its result or exited (True), or
-        until the deadline (False)."""
-        while not (self.recv.poll(_poll_for(deadline)) or self.exited()):
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-        return True
-
-    def outcome(self):
-        """What the trial sent, or a failure if it exited without sending."""
-        if self.recv.poll():
-            try:
-                outcome = self.recv.recv()
-                self.proc.join()
-                self.lease.close()
-                return outcome
-            except EOFError:
-                pass
-        self.end()  # its helpers may still run
-        error = f"WorkerDied: trial process exited with code {self.proc.exitcode} and no result"
-        return None, None, error, time.monotonic() - self.started
-
-    def end(self) -> None:
-        """Kill the trial and the helpers in its process group, then free
-        every slot it held. Only the first call does anything."""
-        if self.ended:
-            return
-        self.ended = True
-        try:
-            # Only while the trial is unreaped is its pid sure to name its group.
-            os.waitid(os.P_PID, self.proc.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        except (ChildProcessError, ProcessLookupError):
-            pass
-        self.proc.kill()
-        self.proc.join()
+    def end(self, error: Optional[str] = None) -> None:
+        """Take the outcome from the trial's readable pipe, or with `error`
+        close the pipe unread; then kill the trial and the helpers in its
+        process group, reap it, and free every slot it held. A trial that
+        exited without sending an outcome fails."""
+        if error is None:
+            self.outcome = slots.receive(self.fd)
+        else:
+            os.close(self.fd)
+        code = slots.end(self.pid)
         self.lease.close()
+        if self.outcome is None:
+            error = error or f"WorkerDied: trial process exited with code {code} and no result"
+            self.outcome = None, None, error, time.monotonic() - self.started
 
 
 def _log(sink, record: dict):
@@ -221,71 +186,70 @@ def _report(state: TunerState, trial: Trial, outcome, sink) -> None:
         _log(sink, {"event": "failed", "trial": trial.trial_id, "error": error.splitlines()[-1]})
 
 
+def _wait(pending: deque, deadline, slot_fd: Optional[int] = None) -> bool:
+    """Wait until an unread trial pipe or `slot_fd` is readable (True), or
+    until the deadline (False). Every readable trial pipe is read."""
+    unread = {flight.fd: flight for flight in pending if flight.outcome is None}
+    poller = select.poll()  # select.select rejects fds past 1023
+    for fd in [*unread, slot_fd] if slot_fd is not None else unread:
+        poller.register(fd, select.POLLIN)
+    timeout = None if deadline is None else max(0.0, deadline - time.monotonic()) * 1000
+    events = poller.poll(timeout)
+    for fd, _ in events:
+        if fd in unread:
+            unread[fd].end()
+    return bool(events)
+
+
 def _next_slot(pool: slots.Slots, pending: deque, deadline) -> Optional[slots.Lease]:
     """A slot for the next trial, or None once the deadline has passed.
 
     While the trials in flight hold every slot, wait for one to be given
-    back; nothing is applied meanwhile, so the trial log never depends on
-    that wait. A trial that died still counts its slots and may leave
-    helpers running, so first end every trial that exited holding slots.
+    back. A trial that exits meanwhile is read and ended, which frees its
+    slots, but nothing is applied, so the trial log never depends on that
+    wait.
     """
-    while True:
-        for flight in pending:
-            if not flight.ended and flight.lease.held[0] > 0 and flight.exited():
-                flight.end()
-        if deadline is not None and time.monotonic() >= deadline:
+    while (lease := pool.lease()) is None:
+        if not _wait(pending, deadline, pool.fd):
             return None
-        lease = pool.lease(_poll_for(deadline))
-        if lease is not None:
-            return lease
+    return lease
 
 
 def _run_forked(state: TunerState, by_id: dict, cfg: TunerConfig, issue, deadline, sink) -> None:
     """Keep up to P trials in flight, one forked child each; apply in id order.
 
-    Each trial is forked into a slot (`_next_slot`). Only the head (oldest)
-    trial is waited on, until the deadline. A child that exits without
-    sending a result fails its trial. Once the deadline has passed nothing
-    more is issued, and each trial still in flight when it reaches the head
-    is killed and failed.
+    Each trial is forked into a slot (`_next_slot`). Every outcome is read
+    as soon as its pipe is readable, and a trial that exits without sending
+    one fails. The head (oldest) trial is waited for until the deadline, and
+    once it is applied, trials are issued again. Once the deadline has
+    passed nothing more is issued, and each trial still unread when it
+    reaches the head is killed and failed.
     """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    pool = slots.Slots(ctx, cfg.parallelism)
+    pool = slots.Slots(cfg.parallelism)
     pending: deque = deque()  # _Flight, oldest first
     try:
         while True:
-            while len(pending) < cfg.parallelism and (
-                lease := _next_slot(pool, pending, deadline)
-            ) is not None:
+            while len(pending) < cfg.parallelism and (lease := _next_slot(pool, pending, deadline)):
                 trial = issue()
                 if trial is None:
                     lease.close()
                     break
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_child, args=(send, trial, by_id[trial.pipeline_id], cfg, lease)
-                )
-                proc.start()
-                send.close()
-                pending.append(_Flight(trial, proc, recv, lease, time.monotonic()))
+                pid, fd = slots.fork(partial(_trial, trial, by_id[trial.pipeline_id], cfg, lease))
+                pending.append(_Flight(trial, pid, fd, lease, time.monotonic()))
             if not pending:
                 return
             head = pending[0]
-            if head.wait(deadline):
-                outcome = head.outcome()
-            else:
-                head.end()
-                error = f"TimeoutError: trial killed at the {cfg.max_runtime} s wall-clock limit"
-                outcome = (None, None, error, time.monotonic() - head.started)
-            head.recv.close()
+            while head.outcome is None and _wait(pending, deadline):
+                pass
+            if head.outcome is None:
+                head.end(f"TimeoutError: trial killed at the {cfg.max_runtime} s wall-clock limit")
             pending.popleft()
-            _report(state, head.trial, outcome, sink)
+            _report(state, head.trial, head.outcome, sink)
     finally:
         for flight in pending:
-            flight.end()
-            flight.recv.close()
+            if flight.outcome is None:
+                flight.end("the run ended")
+        pool.close()
 
 
 def run(
@@ -330,10 +294,7 @@ def run(
         return trial
 
     if cfg.parallelism == 1:
-        while True:
-            trial = issue()
-            if trial is None:
-                break
+        while (trial := issue()) is not None:
             _report(state, trial, _execute(trial, by_id[trial.pipeline_id], cfg), log_sink)
     else:
         _run_forked(state, by_id, cfg, issue, deadline, log_sink)

@@ -1,6 +1,6 @@
 import pytest
 
-from tabular_automl import synth
+from tabular_automl import slots, synth
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +23,23 @@ def sized_csv_factory(tmp_path_factory):
         return str(path)
 
     return make
+
+
+@pytest.fixture
+def trial_lease(monkeypatch):
+    """This process as a forked trial holding one of two slots; counts borrows."""
+    pool = slots.Slots(2)
+    lease = pool.lease()
+    borrowed = []
+    borrow = slots.Lease.borrow
+
+    def counting(self):
+        took = borrow(self)
+        borrowed.append(took)
+        return took
+
+    monkeypatch.setattr(slots.Lease, "borrow", counting)
+    monkeypatch.setattr(slots, "current", lease)
+    yield lease, borrowed
+    lease.close()
+    pool.close()

@@ -3,12 +3,14 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabular_automl import data_core
 from tabular_automl.data_core import (
     DEFAULT_MISSING_LITERALS,
     RawTable,
@@ -108,6 +110,12 @@ def _reference_read_csv_cells(path, missing_literals):
     return header, cells
 
 
+def _read_with(path, literals):
+    """`_read_csv_cells` with `literals` in place of the module's missing-literal set."""
+    with mock.patch.object(data_core, "DEFAULT_MISSING_LITERALS", literals):
+        return _read_csv_cells(path)
+
+
 def _outcome(read, path, literals):
     try:
         return read(path, literals)
@@ -139,13 +147,13 @@ class TestReadCsvCellsOracle:
             path = Path(d) / "t.csv"
             with open(path, "w", encoding="utf-8", newline="") as f:
                 csv.writer(f).writerows([[f"c{j}" for j in range(n_cols)]] + rows)
-            new = _outcome(_read_csv_cells, path, literals)
+            new = _outcome(_read_with, path, literals)
             assert new == _outcome(_reference_read_csv_cells, path, literals)
 
     def test_first_ragged_row_is_named(self, tmp_path):
         path = write(tmp_path, "a,y\nNa,1\n3\n4,5,6\n")
         with pytest.raises(MalformedCsv) as new:
-            _read_csv_cells(path, DEFAULT_MISSING_LITERALS)
+            _read_csv_cells(path)
         with pytest.raises(MalformedCsv) as old:
             _reference_read_csv_cells(path, DEFAULT_MISSING_LITERALS)
         assert str(new.value) == str(old.value)
@@ -154,8 +162,8 @@ class TestReadCsvCellsOracle:
     def test_custom_literals_case_insensitive(self, tmp_path):
         path = write(tmp_path, "a,b\n?,NA\nMISSING,Missing\nnull,x\n")
         literals = frozenset({"?", "missing"})
-        assert _read_csv_cells(path, literals) == _reference_read_csv_cells(path, literals)
-        assert _read_csv_cells(path, literals)[1] == [[None, "NA"], [None, None], ["null", "x"]]
+        assert _read_with(path, literals) == _reference_read_csv_cells(path, literals)
+        assert _read_with(path, literals)[1] == [[None, "NA"], [None, None], ["null", "x"]]
 
 
 class TestParseNumber:

@@ -11,7 +11,6 @@ trial that holds one of two training slots, so the other slot is idle and a
 helper really borrows it.
 """
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -121,25 +120,6 @@ def reference_trees(X, y, hp, weights, seed, base) -> list[list[dict]]:
     return trees
 
 
-@pytest.fixture
-def trial_lease(monkeypatch):
-    """This process as a forked trial holding one of two slots; counts borrows."""
-    pool = slots.Slots(multiprocessing.get_context("fork"), 2)
-    lease = pool.lease(0)
-    borrowed = []
-    borrow = slots.Lease.borrow
-
-    def counting(self):
-        took = borrow(self)
-        borrowed.append(took)
-        return took
-
-    monkeypatch.setattr(slots.Lease, "borrow", counting)
-    monkeypatch.setattr(slots, "current", lease)
-    yield lease, borrowed
-    lease.close()
-
-
 @st.composite
 def gbt_problems(draw):
     loss = draw(st.sampled_from(["softmax_ovr"] * 3 + ["logistic", "squared_error"]))
@@ -191,7 +171,7 @@ def test_chain_split_model_equals_the_serial_loop(trial_lease, problem):
 
 def test_no_idle_slot_keeps_every_chain_in_process(trial_lease):
     lease, borrowed = trial_lease
-    assert lease.slots.free.acquire(False)  # another trial takes the idle slot
+    assert lease.slots.take()  # another trial takes the idle slot
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(40, 3)), np.arange(40) % 4
     hp = {"loss": "softmax_ovr", "n_trees": 3, "max_depth": 2, "learning_rate": 0.3,
@@ -200,7 +180,7 @@ def test_no_idle_slot_keeps_every_chain_in_process(trial_lease):
     assert borrowed and not any(borrowed)
     slots.current = None
     assert _bytes(model) == _bytes(train("gbt", X, y, hp, seed=5))
-    lease.slots.free.release()
+    lease.slots.give()
 
 
 @st.composite

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from tabular_automl.errors import (
     DoubleReport,
     Exhausted,
     UnknownTrial,
+    WorkerDied,
 )
 from tabular_automl.learners import HpDomain, HpSpace, Loss
 from tabular_automl.tuner import (
@@ -386,7 +389,8 @@ class TestSuggestBo:
 
             import numpy as np
             import tabular_automl.orchestrator.cli
-            from tabular_automl.learners import HpDomain, HpSpace
+            from tabular_automl.learners import HpDomain, HpSpace, Loss
+            from tabular_automl.tuner import TunerArm, TunerConfig, run
             from tabular_automl.tuner.bo import suggest_bo
 
             assert "multiprocessing" not in sys.modules, "multiprocessing imported at module level"
@@ -399,6 +403,14 @@ class TestSuggestBo:
             assert space.contains(hp), hp
             assert not attempts, attempts
             assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+            def runner(trial, seed):
+                return Loss(kind="rmse", value=0.5), {}
+
+            arm = TunerArm(pipeline_id="a", space=space, seeds=[], runner=runner)
+            board, _ = run([arm], TunerConfig(budget=4, parallelism=2))  # forks trials
+            assert len(board.entries) == 4
+            assert "multiprocessing" not in sys.modules, "a forked run imported multiprocessing"
             """
         )
         src = str(Path(tabular_automl.__file__).resolve().parent.parent)
@@ -733,6 +745,161 @@ class TestEngine:
         )
         assert isinstance(board, Leaderboard)
         assert board.entries
+
+
+def _blob(seed: int) -> bytes:
+    """1 MiB of seeded random bytes, more than one pipe buffer holds."""
+    return np.random.default_rng(seed).bytes(1 << 20)
+
+
+def _halving_dumps(monkeypatch, cut):
+    """Make `pickle.dumps` give the first half of any pickle of an object
+    for which `cut(obj)` holds, as a child killed while sending would."""
+    whole = pickle.dumps
+
+    def dumps(obj, *args, **kwargs):
+        data = whole(obj, *args, **kwargs)
+        return data[: len(data) // 2] if cut(obj) else data
+
+    monkeypatch.setattr(pickle, "dumps", dumps)
+
+
+class TestForkedProcesses:
+    """Trials and helpers are forked by `slots.fork`, send one pickle down a
+    pipe, and are reaped only by the process that forked them."""
+
+    def test_trial_dying_with_a_helper_running_takes_it_along(self, tmp_path, monkeypatch):
+        # Trial 0 gives its slot back, then is slow to send its result, so
+        # trial 1 borrows that slot for a helper. Once trial 0 is applied
+        # the engine waits for a slot. Trial 1 exits with its helper running;
+        # trial 2 saw it exit, and gives back its slot at once, so trial 3
+        # is forked while the engine is learning of trial 1's death.
+        dawdle = []
+        give_back = slots.Lease.give_back
+
+        def give_back_then_dawdle(lease):
+            give_back(lease)
+            if dawdle:
+                time.sleep(0.5)
+
+        monkeypatch.setattr(slots.Lease, "give_back", give_back_then_dawdle)
+        died = tmp_path / "died"
+
+        def runner(trial, seed):
+            if trial.trial_id == 0:
+                dawdle.append(True)
+            elif trial.trial_id == 1:
+                trial_pid = os.getpid()
+
+                def work(i):
+                    if os.getpid() != trial_pid:
+                        (tmp_path / f"{os.getpid()}.pid").touch()
+                        time.sleep(30)
+                    elif i > 0:
+                        time.sleep(0.5)
+                        died.touch()
+                        os._exit(5)
+                    time.sleep(0.2)
+
+                slots.share(3, work)
+            elif trial.trial_id == 2:
+                stop = time.monotonic() + 10
+                while not died.exists() and time.monotonic() < stop:
+                    time.sleep(0.005)
+            return Loss(kind="rmse", value=0.1), {}
+
+        arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
+        started = time.monotonic()
+        board, state = run([arm], TunerConfig(budget=4, parallelism=3))
+        assert time.monotonic() - started < 5
+        assert state.issued == 4
+        assert "WorkerDied: trial process exited with code 5" in state.trials[1].error
+        assert [e.trial_id for e in board.entries] == [0, 2, 3]
+        pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+        assert len(pids) == 1  # the helper trial 1 borrowed a slot for
+        assert _ends_soon(pids[0])
+
+    def test_a_megabyte_trial_payload_comes_back_equal(self):
+        def runner(trial, seed):
+            return Loss(kind="rmse", value=1.0 + trial.trial_id), {"blob": _blob(trial.trial_id)}
+
+        arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
+        board, _ = run([arm], TunerConfig(budget=3, parallelism=2))
+        assert [e.extra for e in board.entries] == [{"blob": _blob(k)} for k in range(3)]
+
+    def test_a_megabyte_helper_result_comes_back_equal(self, trial_lease):
+        _, borrowed = trial_lease
+        assert slots.share(2, _blob) == [_blob(0), _blob(1)]
+        assert borrowed == [True]
+
+    def test_half_a_trial_pickle_fails_only_that_trial(self, monkeypatch):
+        _halving_dumps(monkeypatch, lambda obj: isinstance(obj, tuple) and "blob" in (obj[1] or {}))
+
+        def runner(trial, seed):
+            payload = {"blob": _blob(trial.trial_id)} if trial.trial_id == 1 else {}
+            return Loss(kind="rmse", value=0.5), payload
+
+        arm = TunerArm(pipeline_id="a", space=STATIC_SPACE, seeds=[], runner=runner)
+        board, state = run([arm], TunerConfig(budget=4, parallelism=2))
+        assert state.trials[1].error == (
+            "WorkerDied: trial process exited with code 0 and no result")
+        assert [e.trial_id for e in board.entries] == [0, 2, 3]
+
+    def test_half_a_helper_pickle_fails_share(self, trial_lease, monkeypatch):
+        lease, _ = trial_lease
+        _halving_dumps(monkeypatch, lambda obj: isinstance(obj, dict))
+        with pytest.raises(WorkerDied, match="helper process exited with code 0 and no result"):
+            slots.share(2, _blob)
+        assert lease.held[0] == 1  # the helper's slot came back
+
+    def test_share_claims_more_tasks_than_a_pipe_of_indices_holds(self, trial_lease):
+        _, borrowed = trial_lease
+        n = 20_000  # past 16 384, where a pipe of 4-byte indices would fill
+        assert slots.share(n, lambda i: i) == list(range(n))
+        assert any(borrowed)
+
+    def test_output_is_written_once_from_every_process(self):
+        # Buffered stdout on a pipe: what the parent buffered before a fork
+        # must not be written again by the child, and what a child printed
+        # must be written before it exits.
+        script = textwrap.dedent(
+            """
+            from tabular_automl.learners import HpSpace, Loss
+            from tabular_automl.tuner import TunerArm, TunerConfig, run
+
+            def runner(trial, seed):
+                print(f"trial {trial.trial_id}")
+                return Loss(kind="rmse", value=0.5), {}
+
+            print("before the run")
+            arm = TunerArm(pipeline_id="a", space=HpSpace(), seeds=[], runner=runner)
+            run([arm], TunerConfig(budget=4, parallelism=2))
+            """
+        )
+        src = str(Path(tabular_automl.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(proc.stdout.splitlines()) == sorted(
+            ["before the run"] + [f"trial {k}" for k in range(4)])
+
+    def test_no_module_imports_multiprocessing(self):
+        src = Path(tabular_automl.__file__).parent
+        found = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.relative_to(src)}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "multiprocessing"]
+        assert found == []
 
 
 class TestTunerConfigValidation:
