@@ -313,7 +313,8 @@ def minimize_in_box(fun: Callable, x0: np.ndarray, lo: np.ndarray, hi: np.ndarra
             stpmax = _room(xs, d.tolist(), lo_, hi_) if it else 1.0
 
             def phi(stp):
-                xt = z if stp == 1.0 else x + stp * d
+                # x + stp * d can round past a bound that stpmax reaches exactly
+                xt = z if stp == 1.0 else np.minimum(np.maximum(x + stp * d, lo), hi)
                 key = xt.tobytes()
                 if key not in seen:
                     seen[key] = fun(xt)

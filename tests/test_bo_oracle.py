@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabular_automl.errors import DegenerateHistory, NonFiniteInput, SingleClass
@@ -448,6 +448,7 @@ class TestSuggestBo:
         st.lists(st.sampled_from(["float", "log_float", "int", "categorical"]), min_size=1, max_size=10),
     )
     @settings(max_examples=50, deadline=None)
+    @example(2001627, 24, ["categorical", "categorical", "float"])  # a line-search step rounded past a bound
     def test_consumes_the_generator_as_the_reference(self, seed, n, kinds):
         domains = []
         for i, kind in enumerate(kinds):
